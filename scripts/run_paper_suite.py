@@ -10,21 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from overcubic.cli import main as cli_main
-
-SUITES = (
-    "1",
-    "2",
-    "3",
-    "5",
-    "9",
-    "mod4-progressions",
-    "conjecture-1",
-    "conjecture-2",
-    "lacunary",
-    "dissections",
-    "certificate",
-)
+from overcubic.cli import PAPER_SUITES, main as cli_main
 
 QUICK = {
     "1": ["--n-limit", "50"],
@@ -48,7 +34,7 @@ def main() -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     worst = 0
-    for suite in SUITES:
+    for suite in PAPER_SUITES:
         target = args.out / f"suite_{suite}.json"
         argv = ["paper-suite", "--theorem", suite, "--output", str(target)]
         if args.quick:

@@ -145,22 +145,14 @@ def verify_certificate(cert: RaduCertificate, n: int) -> VerificationResult:
 # JSON format
 
 
-def _monomial_from_dict(d: dict) -> etaq.FMonomial:
-    return etaq.FMonomial.make(
-        coefficient=d.get("coefficient", 1),
-        qpower=d.get("qpower", 0),
-        factors={int(k): int(v) for k, v in d.get("factors", {}).items()},
-    )
-
-
 def certificate_from_dict(d: dict) -> RaduCertificate:
     return RaduCertificate(
         name=d["name"],
-        base=_monomial_from_dict(d["base"]),
+        base=etaq.FMonomial.from_dict(d["base"]),
         m=d["m"],
         orbit=tuple(d["orbit"]),
-        prefactor=_monomial_from_dict(d["prefactor"]),
-        hauptmodul=_monomial_from_dict(d["hauptmodul"]),
+        prefactor=etaq.FMonomial.from_dict(d["prefactor"]),
+        hauptmodul=etaq.FMonomial.from_dict(d["hauptmodul"]),
         polynomial=tuple(int(c) for c in d["polynomial"]),
         claimed_common_factor=int(d["claimed_common_factor"]),
         basis=tuple(d.get("basis", ["1"])),

@@ -11,22 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, catalogs, certify, congruence, density, dissect, etaq, oracle
 from .errors import QSeriesError
-from .reporting import CONGRUENCE_COLUMNS, to_csv, to_json
+from .reporting import CONGRUENCE_COLUMNS, VerificationResult, to_csv, to_json
 from .series import reduce_mod
-from .util import pmap
 
-
-@dataclass
-class JobSpec:
-    """One CLI invocation: command name plus the parameters it echoes."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
+# every entry of paper-suite, in --theorem all order
+PAPER_SUITES = congruence.SUITE_NAMES + ("lacunary", "dissections", "certificate")
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -67,33 +60,31 @@ def _require(args, *names: str) -> None:
         )
 
 
-def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    if getattr(args, "format", "json") == "csv":
+def _report(
+    args, command: str, parameters: dict, body: dict, passed: bool = True, csv_text=None
+) -> int:
+    """Write the report envelope (command, parameters, passed) around
+    `body`, or `csv_text` under --format csv; returns the exit code."""
+    if args.format == "csv":
         if csv_text is None:
             raise SystemExit2("this subcommand has no CSV form")
         text = csv_text
     else:
-        payload = {"tool": "overcubic", "version": __version__, **payload}
-        text = to_json(payload)
-    out = getattr(args, "output", None)
-    if out:
-        Path(out).write_text(text)
+        text = to_json(
+            {
+                "tool": "overcubic",
+                "version": __version__,
+                "command": command,
+                "parameters": parameters,
+                "passed": passed,
+                **body,
+            }
+        )
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _records_payload(job: JobSpec, results) -> tuple[dict, bool]:
-    records = [r.to_record() for r in results]
-    passed = all(r.passed for r in results)
-    return (
-        {
-            "command": job.command,
-            "parameters": job.parameters,
-            "passed": passed,
-            "records": records,
-        },
-        passed,
-    )
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +98,12 @@ def cmd_expand(args) -> int:
         s = etaq.expand_monomial_mod(mon, args.order, args.mod)
     else:
         s = etaq.expand_monomial(mon, args.order)
-    job = JobSpec("expand", {"monomial": repr(mon), "order": args.order, "mod": args.mod})
-    payload = {
-        "command": job.command,
-        "parameters": job.parameters,
-        "valuation": s.valuation,
-        "order": s.order,
-        "coefficients": list(s.coeffs),
-        "passed": True,
-    }
-    _emit(args, payload)
-    return 0
+    return _report(
+        args,
+        "expand",
+        {"monomial": repr(mon), "order": args.order, "mod": args.mod},
+        {"valuation": s.valuation, "order": s.order, "coefficients": list(s.coeffs)},
+    )
 
 
 def cmd_coeffs(args) -> int:
@@ -137,19 +123,16 @@ def cmd_coeffs(args) -> int:
     else:
         s = etaq.expand_monomial(mon, order)
     values = [s.coefficient(i) for i in indices]
-    job = JobSpec("coeffs", {"monomial": repr(mon), "mod": args.mod, "order": order})
-    payload = {
-        "command": job.command,
-        "parameters": job.parameters,
-        "indices": indices,
-        "coefficients": values,
-        "passed": True,
-    }
     csv_text = to_csv(
         [{"n": i, "coefficient": v} for i, v in zip(indices, values)], ("n", "coefficient")
     )
-    _emit(args, payload, csv_text)
-    return 0
+    return _report(
+        args,
+        "coeffs",
+        {"monomial": repr(mon), "mod": args.mod, "order": order},
+        {"indices": indices, "coefficients": values},
+        csv_text=csv_text,
+    )
 
 
 def cmd_verify(args) -> int:
@@ -163,18 +146,21 @@ def cmd_verify(args) -> int:
         alpha=args.alpha,
         status=args.status,
     )
-    job = JobSpec(
-        "verify",
-        {
-            **claim.to_dict(),
-            "n_limit": args.n_limit,
-            "order": congruence.required_order(claim, args.n_limit),
-        },
-    )
+    parameters = {
+        **claim.to_dict(),
+        "n_limit": args.n_limit,
+        "order": congruence.required_order(claim, args.n_limit),
+    }
     result = congruence.verify_congruence(claim, args.n_limit)
-    payload, passed = _records_payload(job, [result])
-    _emit(args, payload, to_csv([result.to_record()], CONGRUENCE_COLUMNS))
-    return 0 if passed else 1
+    record = result.to_record()
+    return _report(
+        args,
+        "verify",
+        parameters,
+        {"records": [record]},
+        result.passed,
+        to_csv([record], CONGRUENCE_COLUMNS),
+    )
 
 
 def cmd_scan(args) -> int:
@@ -187,26 +173,18 @@ def cmd_scan(args) -> int:
         order=args.order,
     )
     claims = congruence.scan(cfg)
-    job = JobSpec(
-        "scan",
-        {
-            "family": cfg.family.name,
-            "k": cfg.family.k,
-            "max_m": cfg.max_m,
-            "moduli": sorted(cfg.moduli),
-            "n_min": cfg.n_min,
-            "order": cfg.order if cfg.order is not None else cfg.needed_order(),
-        },
-    )
-    records = sorted((c.to_dict() for c in claims), key=lambda d: (d["m"], d["j"]))
-    payload = {
-        "command": job.command,
-        "parameters": job.parameters,
-        "passed": True,
-        "records": records,
+    parameters = {
+        "family": cfg.family.name,
+        "k": cfg.family.k,
+        "max_m": cfg.max_m,
+        "moduli": sorted(cfg.moduli),
+        "n_min": cfg.n_min,
+        "order": cfg.order if cfg.order is not None else cfg.needed_order(),
     }
-    _emit(args, payload, to_csv(records, CONGRUENCE_COLUMNS))
-    return 0
+    records = sorted((c.to_dict() for c in claims), key=lambda d: (d["m"], d["j"]))
+    return _report(
+        args, "scan", parameters, {"records": records}, csv_text=to_csv(records, CONGRUENCE_COLUMNS)
+    )
 
 
 def cmd_dissect(args) -> int:
@@ -215,24 +193,17 @@ def cmd_dissect(args) -> int:
     base_order = args.m * args.order + args.j
     base = etaq.expand_monomial(mon, base_order)
     part = dissect.extract_progression(base, args.m, args.j)
-    if args.mod is not None:
-        part_out = reduce_mod(part, args.mod)
-    else:
-        part_out = part
-    job = JobSpec(
+    part_out = part if args.mod is None else reduce_mod(part, args.mod)
+    return _report(
+        args,
         "dissect",
         {"monomial": repr(mon), "m": args.m, "j": args.j, "order": args.order, "mod": args.mod},
+        {
+            "valuation": part_out.valuation,
+            "order": part_out.order,
+            "coefficients": list(part_out.window(0, args.order)),
+        },
     )
-    payload = {
-        "command": job.command,
-        "parameters": job.parameters,
-        "valuation": part_out.valuation,
-        "order": part_out.order,
-        "coefficients": list(part_out.window(0, args.order)),
-        "passed": True,
-    }
-    _emit(args, payload)
-    return 0
 
 
 def cmd_identity(args) -> int:
@@ -242,20 +213,26 @@ def cmd_identity(args) -> int:
         claims = [c for c in claims if c.name == args.name]
         if not claims:
             raise SystemExit2(f"no identity named {args.name!r} in {args.catalog}")
-    results = dissect.verify_catalog(claims, args.order, map_fn=pmap)
-    job = JobSpec("identity", {"catalog": str(args.catalog), "order": args.order})
-    payload, passed = _records_payload(job, results)
-    _emit(args, payload)
-    return 0 if passed else 1
+    results = dissect.verify_catalog(claims, args.order)
+    return _report(
+        args,
+        "identity",
+        {"catalog": str(args.catalog), "order": args.order},
+        {"records": [r.to_record() for r in results]},
+        all(r.passed for r in results),
+    )
 
 
 def cmd_certificate(args) -> int:
     cert = certify.load_certificate(args.cert)
     result = certify.verify_certificate(cert, args.order)
-    job = JobSpec("certificate", {"cert": str(args.cert), "order": args.order})
-    payload, passed = _records_payload(job, [result])
-    _emit(args, payload)
-    return 0 if passed else 1
+    return _report(
+        args,
+        "certificate",
+        {"cert": str(args.cert), "order": args.order},
+        {"records": [result.to_record()]},
+        result.passed,
+    )
 
 
 def cmd_density(args) -> int:
@@ -263,18 +240,13 @@ def cmd_density(args) -> int:
     report = density.compute_density(
         etaq.Family(args.family, args.k), args.mod, args.residue, _parse_ints(args.x_grid)
     )
-    job = JobSpec(
+    return _report(
+        args,
         "density",
         {"family": args.family, "k": args.k, "mod": args.mod, "residue": args.residue},
+        {"report": report.to_record()},
+        csv_text=report.to_csv(),
     )
-    payload = {
-        "command": job.command,
-        "parameters": job.parameters,
-        "passed": True,
-        "report": report.to_record(),
-    }
-    _emit(args, payload, report.to_csv())
-    return 0
 
 
 def cmd_oracle(args) -> int:
@@ -282,20 +254,16 @@ def cmd_oracle(args) -> int:
     counter = oracle.PartCounter(args.family, args.k, cap=args.cap)
     table = counter.table(args.max_n)
     rows = [{"n": n, "count": c} for n, c in enumerate(table)]
-    job = JobSpec("oracle", {"family": args.family, "k": args.k, "max_n": args.max_n})
-    payload = {
-        "command": job.command,
-        "parameters": job.parameters,
-        "passed": True,
-        "records": rows,
-    }
-    _emit(args, payload, to_csv(rows, ("n", "count")))
-    return 0
+    return _report(
+        args,
+        "oracle",
+        {"family": args.family, "k": args.k, "max_n": args.max_n},
+        {"records": rows},
+        csv_text=to_csv(rows, ("n", "count")),
+    )
 
 
 def _lacunary_results(x_grid: list[int], k_range, modulus_exponents) -> list:
-    from .reporting import VerificationResult
-
     results = []
     for k in k_range:
         eta = etaq.family_eta(etaq.Family("overcubic-ktuple", k))
@@ -339,21 +307,6 @@ def _lacunary_results(x_grid: list[int], k_range, modulus_exponents) -> list:
     return results
 
 
-_SUITE_CHOICES = (
-    "1",
-    "2",
-    "3",
-    "5",
-    "9",
-    "mod4-progressions",
-    "conjecture-1",
-    "conjecture-2",
-    "lacunary",
-    "dissections",
-    "certificate",
-    "all",
-)
-
 _IDENTITY_CATALOGS = (
     "identities/lemma_dissections.json",
     "identities/congruence_identities.json",
@@ -363,15 +316,12 @@ _IDENTITY_CATALOGS = (
 
 def _run_suite(name: str, args) -> tuple[list, dict]:
     """Results plus echoed parameters for one paper-suite entry."""
-    from .reporting import VerificationResult
-
     if name in congruence.SUITE_NAMES:
         report = congruence.theorem_suite(
             name,
             n_limit=args.n_limit,
             alpha_limit=args.alpha_limit,
             order=args.order if name == "9" else None,
-            map_fn=pmap,
         )
         for r in report.results:
             if report.label == congruence.CONJECTURE_LABEL:
@@ -381,9 +331,7 @@ def _run_suite(name: str, args) -> tuple[list, dict]:
         order = args.order if args.order is not None else 2000
         results = []
         for ref in _IDENTITY_CATALOGS:
-            results.extend(
-                dissect.verify_catalog(dissect.load_identity_catalog(ref), order, map_fn=pmap)
-            )
+            results.extend(dissect.verify_catalog(dissect.load_identity_catalog(ref), order))
         return results, {name: {"order": order, "catalogs": list(_IDENTITY_CATALOGS)}}
     if name == "certificate":
         order = args.order if args.order is not None else 300
@@ -397,18 +345,23 @@ def _run_suite(name: str, args) -> tuple[list, dict]:
 
 def cmd_paper_suite(args) -> int:
     _require(args, "theorem")
-    names = list(_SUITE_CHOICES[:-1]) if args.theorem == "all" else [args.theorem]
+    names = PAPER_SUITES if args.theorem == "all" else (args.theorem,)
     all_results = []
     parameters = {}
     for name in names:
         results, params = _run_suite(name, args)
         all_results.extend(results)
         parameters.update(params)
-    job = JobSpec("paper-suite", {"theorem": args.theorem, "suites": parameters})
-    payload, passed = _records_payload(job, sorted(all_results, key=lambda r: r.name))
-    rows = [r.to_record() for r in sorted(all_results, key=lambda r: r.name)]
-    _emit(args, payload, to_csv(rows, CONGRUENCE_COLUMNS + ("passed",)))
-    return 0 if passed else 1
+    all_results.sort(key=lambda r: r.name)
+    rows = [r.to_record() for r in all_results]
+    return _report(
+        args,
+        "paper-suite",
+        {"theorem": args.theorem, "suites": parameters},
+        {"records": rows},
+        all(r.passed for r in all_results),
+        to_csv(rows, CONGRUENCE_COLUMNS + ("passed",)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("paper-suite", help="run a named verification suite")
-    p.add_argument("--theorem", choices=_SUITE_CHOICES)
+    p.add_argument("--theorem", choices=PAPER_SUITES + ("all",))
     p.add_argument("--n-limit", type=int, default=None)
     p.add_argument("--alpha-limit", type=int, default=None)
     p.add_argument("--order", type=int, default=None)
@@ -524,25 +477,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_job_file(args, argv) -> None:
-    """Fill arguments from the job file; flags explicitly present in argv win."""
-    seen = argv if argv is not None else sys.argv[1:]
-    for key, value in json.loads(Path(args.job).read_text()).items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise SystemExit2(f"job file key {key!r} is not a flag of this subcommand")
-        flag = "--" + key
-        if any(a == flag or a.startswith(flag + "=") for a in seen):
-            continue
-        setattr(args, attr, value)
+def _with_job(path: str, argv: list[str]) -> list[str]:
+    """argv with the job file's flags placed right after the subcommand, so
+    the parser checks them like typed flags and explicit ones, coming
+    later, win."""
+    job = json.loads(Path(path).read_text())
+    if not isinstance(job, dict):
+        raise SystemExit2(f"job file {path} must hold a JSON object of flags")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in job.items()]
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "job", None):
-            _merge_job_file(args, argv)
+        if args.job:
+            args = parser.parse_args(_with_job(args.job, argv))
         return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,8 @@
 """Verification and discovery of Ramanujan-type congruences.
 
 A claim states that every coefficient a(2^alpha (m n + j)) of a family's
-generating function is divisible by the modulus.  Checks run on residue
-expansions: the power-of-two part of the modulus reads a single uint64
-word array (exact mod 2^64), the odd part its own reduced array, and the
-two verdicts combine by CRT.
+generating function is divisible by the modulus.  Checks run on the
+residue expansion mod the claim's modulus (etaq.residue_array).
 """
 from __future__ import annotations
 
@@ -17,9 +15,6 @@ from .errors import InsufficientPrecision
 from .reporting import SuiteReport, VerificationResult
 
 STATUSES = ("proved-in-paper", "conjectured", "discovered")
-
-# hard ceiling on expansion orders so a mistyped n-limit fails fast
-MAX_ORDER = 4_000_000
 
 PROVED = "proved-in-paper"
 CONJECTURED = "conjectured"
@@ -78,38 +73,15 @@ def required_order(claim: CongruenceClaim, n_limit: int) -> int:
     return ((claim.m * n_limit + claim.j) << claim.alpha) + 1
 
 
-def _split_modulus(modulus: int) -> tuple[int, int]:
-    """(power-of-two part, odd part)."""
-    two = modulus & -modulus
-    return two, modulus // two
-
-
-def _violation_mask(mon: etaq.FMonomial, indices: np.ndarray, modulus: int, order: int) -> np.ndarray:
-    if order > MAX_ORDER:
-        raise InsufficientPrecision(
-            f"required order {order} above the configured ceiling {MAX_ORDER}"
-        )
-    two, odd = _split_modulus(modulus)
-    bad = np.zeros(len(indices), dtype=bool)
-    if two > 1:
-        arr = etaq.residue_array(mon, order, two)
-        bad |= arr[indices] != 0
-    if odd > 1:
-        arr = etaq.residue_array(mon, order, odd)
-        bad |= arr[indices] != 0
-    return bad
-
-
 def verify_congruence(claim: CongruenceClaim, n_limit: int) -> VerificationResult:
     """Check the claim at every n in [0, n_limit]; reports the first
     violating n on failure."""
     if n_limit < 0:
         raise ValueError("n_limit must be >= 0")
-    mon = etaq.family_monomial(claim.family)
+    order = required_order(claim, n_limit)
+    arr = etaq.residue_array(etaq.family_monomial(claim.family), order, claim.modulus)
     indices = (claim.m * np.arange(n_limit + 1, dtype=np.int64) + claim.j) << claim.alpha
-    order = int(indices[-1]) + 1
-    bad = _violation_mask(mon, indices, claim.modulus, order)
-    hits = np.nonzero(bad)[0]
+    hits = np.nonzero(arr[indices])[0]
     first = int(hits[0]) if hits.size else None
     return VerificationResult(
         name=claim.key(),
@@ -188,24 +160,10 @@ def scan(cfg: ScanConfig) -> list[CongruenceClaim]:
         )
     mon = etaq.family_monomial(cfg.family)
     moduli = sorted(set(cfg.moduli), reverse=True)
-    arrays = {}
-    for modulus in moduli:
-        two, odd = _split_modulus(modulus)
-        for part in (two, odd):
-            if part > 1 and part not in arrays:
-                arrays[part] = etaq.residue_array(mon, order, part)
+    arrays = {modulus: etaq.residue_array(mon, order, modulus) for modulus in moduli}
 
     def winning_modulus(indices: np.ndarray) -> int | None:
-        for modulus in moduli:
-            two, odd = _split_modulus(modulus)
-            ok = True
-            if two > 1:
-                ok = not np.any(arrays[two][indices])
-            if ok and odd > 1:
-                ok = not np.any(arrays[odd][indices])
-            if ok:
-                return modulus
-        return None
+        return next((M for M in moduli if not np.any(arrays[M][indices])), None)
 
     found = []
     for m in range(1, cfg.max_m + 1):
@@ -331,16 +289,19 @@ def tuple_vs_single_mod4(k: int, order: int) -> VerificationResult:
     )
 
 
-SUITE_NAMES = (
-    "1",
-    "2",
-    "3",
-    "5",
-    "9",
-    "mod4-progressions",
-    "conjecture-1",
-    "conjecture-2",
-)
+# every named claim suite with its default n_limit; suite "9" compares whole
+# series, so its default is an expansion order instead
+_SUITE_DEFAULTS = {
+    "1": 1000,
+    "2": 200,
+    "3": 500,
+    "5": 500,
+    "9": 2000,
+    "mod4-progressions": 500,
+    "conjecture-1": 200,
+    "conjecture-2": 200,
+}
+SUITE_NAMES = tuple(_SUITE_DEFAULTS)
 
 
 def theorem_suite(
@@ -349,36 +310,26 @@ def theorem_suite(
     alpha_limit: int | None = None,
     k_values: tuple[int, ...] | None = None,
     order: int | None = None,
-    map_fn=map,
 ) -> SuiteReport:
     """Run every claim of one named result.  Defaults match the shipped
     acceptance settings; conjecture suites are labeled as numerical
     evidence only and their sampled alpha bound is echoed in parameters."""
+    if name not in _SUITE_DEFAULTS:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     if name == "9":
         ks = k_values if k_values is not None else (1, 2, 3)
-        n = order if order is not None else 2000
-        results = list(map_fn(lambda k: tuple_vs_single_mod4(k, n), ks))
+        n = order if order is not None else _SUITE_DEFAULTS[name]
+        results = [tuple_vs_single_mod4(k, n) for k in ks]
         return SuiteReport(
             "9", PROVED, {"order": n, "k_values": list(ks)}, sorted(results, key=lambda r: r.name)
         )
-    defaults = {
-        "1": 1000,
-        "2": 200,
-        "3": 500,
-        "5": 500,
-        "mod4-progressions": 500,
-        "conjecture-1": 200,
-        "conjecture-2": 200,
-    }
-    if name not in defaults:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    n = n_limit if n_limit is not None else defaults[name]
+    n = n_limit if n_limit is not None else _SUITE_DEFAULTS[name]
     # conjecture evidence samples one dilation step deeper by default; the
     # sampled bound is echoed in the report parameters either way
     default_alpha = 6 if name.startswith("conjecture") else 5
     a_limit = alpha_limit if alpha_limit is not None else default_alpha
     claims, label = suite_claims(name, alpha_limit=a_limit, k_values=k_values)
-    results = list(map_fn(lambda c: verify_congruence(c, n), claims))
+    results = [verify_congruence(c, n) for c in claims]
     params = {"n_limit": n}
     if any(c.alpha for c in claims):
         params["alpha_limit"] = a_limit

@@ -57,19 +57,6 @@ class DensityReport:
         return to_csv(rows, ("X", "count", "delta_numerator", "delta_denominator", "delta_rounded"))
 
 
-def _residues_upto(family: etaq.Family, modulus: int, x_max: int) -> np.ndarray:
-    mon = etaq.family_monomial(family)
-    two = modulus & -modulus
-    odd = modulus // two
-    if two == 1 or odd == 1:
-        return etaq.residue_array(mon, x_max + 1, modulus).astype(np.int64)
-    # composite modulus: combine the power-of-two and odd residues by CRT
-    a2 = etaq.residue_array(mon, x_max + 1, two).astype(np.int64)
-    ao = etaq.residue_array(mon, x_max + 1, odd).astype(np.int64)
-    inv_two = pow(two, -1, odd)
-    return (a2 + two * ((ao - a2) * inv_two % odd)) % modulus
-
-
 def compute_density(
     family: etaq.Family,
     modulus: int,
@@ -86,7 +73,7 @@ def compute_density(
     if not grid or grid[0] < 1:
         raise ValueError("grid values must be >= 1")
     x_max = grid[-1]
-    arr = _residues_upto(family, modulus, x_max)
+    arr = etaq.residue_array(etaq.family_monomial(family), x_max + 1, modulus)
     hit = arr[1:] == residue  # index 0 excluded
     prefix = np.concatenate(([0], np.cumsum(hit)))
     rows = tuple((x, int(prefix[x]), Fraction(int(prefix[x]), x)) for x in grid)

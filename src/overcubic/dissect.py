@@ -108,25 +108,16 @@ def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:
     )
 
 
-def verify_catalog(claims: Iterable[IdentityClaim], n: int, map_fn=map) -> list[VerificationResult]:
-    results = list(map_fn(lambda c: verify_identity(c, n), claims))
-    return sorted(results, key=lambda r: r.name)
+def verify_catalog(claims: Iterable[IdentityClaim], n: int) -> list[VerificationResult]:
+    return sorted((verify_identity(c, n) for c in claims), key=lambda r: r.name)
 
 
 # ---------------------------------------------------------------------------
 # JSON catalog format
 
 
-def _monomial_from_dict(d: dict) -> etaq.FMonomial:
-    return etaq.FMonomial.make(
-        coefficient=d.get("coefficient", 1),
-        qpower=d.get("qpower", 0),
-        factors={int(k): int(v) for k, v in d.get("factors", {}).items()},
-    )
-
-
 def _sum_from_list(items: list) -> etaq.FQuotientSum:
-    return etaq.FQuotientSum.make(_monomial_from_dict(t) for t in items)
+    return etaq.FQuotientSum.make(etaq.FMonomial.from_dict(t) for t in items)
 
 
 def claim_from_dict(d: dict) -> IdentityClaim:

@@ -30,4 +30,4 @@ class CapExceeded(QSeriesError):
 
 
 class UnsupportedModulus(QSeriesError):
-    """The residue fast path covers powers of two up to 2^63 and small moduli."""
+    """The residue path covers moduli up to 2^63 whose odd part is at most 2^15."""

@@ -8,12 +8,13 @@ coefficients +-(2k+1), which cuts the number of passes for large
 exponents roughly by three.  Exact expansions carry Python integers; the
 residue path carries numpy uint64 words, either wrapping naturally mod
 2^64 (exact for any power-of-two modulus up to 2^63) or reduced mod a
-small modulus after every pass.
+small odd modulus after every pass.  residue_array is the one residue
+entry point: it splits a modulus into those two parts and recombines
+them by CRT.
 """
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -22,10 +23,17 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import catalogs
-from .errors import NonIntegerWeight, UnsupportedModulus
+from .errors import InsufficientPrecision, NonIntegerWeight, UnsupportedModulus
 from .series import TruncatedSeries, ResidueSeries, zero
 
-_WORD_MASK = (1 << 64) - 1
+# hard ceiling on residue expansion orders so a mistyped size fails fast
+MAX_ORDER = 4_000_000
+
+# Bound on the odd part of a residue modulus.  A mul pass sums up to
+# #terms products, each below (m-1)^2, in one uint64 before it reduces, and
+# a div pass takes a dot product of the same size; with m <= 2^15 and
+# #terms < MAX_ORDER < 2^22 those sums stay below 2^52 < 2^64.
+# _expand_factors_residue asserts the bound once per build.
 _SMALL_MODULUS_LIMIT = 1 << 15
 
 
@@ -96,6 +104,11 @@ class FMonomial:
         cleaned = sorted((int(d), int(r)) for d, r in items if int(r) != 0)
         return cls(int(coefficient), int(qpower), tuple(cleaned))
 
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "FMonomial":
+        """Parse the catalog form {"coefficient", "qpower", "factors": {delta: r}}."""
+        return cls.make(d.get("coefficient", 1), d.get("qpower", 0), d.get("factors", {}))
+
     def factor_map(self) -> dict[int, int]:
         return dict(self.factors)
 
@@ -126,32 +139,16 @@ class FQuotientSum:
 # ---------------------------------------------------------------------------
 # expansion engine
 
-class _GrowingCache:
-    """Keeps the longest expansion seen per key and serves prefixes of it."""
-
-    def __init__(self):
-        self._data: dict = {}
-        self._lock = threading.Lock()
-
-    def get(self, key, n, build):
-        with self._lock:
-            hit = self._data.get(key)
-        if hit is not None and hit[0] >= n:
-            return hit[1]
-        value = build(n)
-        with self._lock:
-            hit = self._data.get(key)
-            if hit is None or hit[0] < n:
-                self._data[key] = (n, value)
-        return value
-
-    def clear(self):
-        with self._lock:
-            self._data.clear()
+# longest expansion seen per key; shorter requests are served a prefix of it
+_exact_cache: dict = {}
+_residue_cache: dict = {}
 
 
-_exact_cache = _GrowingCache()
-_residue_cache = _GrowingCache()
+def _cached(cache: dict, key, n: int, build):
+    hit = cache.get(key)
+    if hit is None or hit[0] < n:
+        hit = cache[key] = (n, build(n))
+    return hit[1]
 
 
 def _factor_passes(delta: int, r: int, limit: int):
@@ -204,15 +201,12 @@ def _expand_factors_exact(factors: tuple[tuple[int, int], ...], n: int) -> list[
                 acc = _mul_pass(acc, terms, limit) if r > 0 else _div_pass(acc, terms, limit)
         return acc
 
-    return _exact_cache.get(factors, n, build)[:n]
+    return _cached(_exact_cache, factors, n, build)[:n]
 
 
-def _np_terms(terms, reduce_to: int | None):
+def _np_terms(terms, wrap: int):
     exps = np.array([e for e, _ in terms], dtype=np.int64)
-    if reduce_to is None:
-        coefs = np.array([c & _WORD_MASK for _, c in terms], dtype=np.uint64)
-    else:
-        coefs = np.array([c % reduce_to for _, c in terms], dtype=np.uint64)
+    coefs = np.array([c % wrap for _, c in terms], dtype=np.uint64)
     return exps, coefs
 
 
@@ -227,25 +221,18 @@ def _np_mul_pass(acc: np.ndarray, exps, coefs, n: int, modulus: int | None) -> n
     return out
 
 
-def _np_div_pass(num: np.ndarray, exps, coefs, n: int, modulus: int | None) -> np.ndarray:
+def _np_div_pass(num: np.ndarray, exps, coefs, n: int, wrap: int) -> np.ndarray:
     keep = exps > 0
     es, cs = exps[keep], coefs[keep]
     g = num.copy()
     if es.size == 0 or n <= 1:
         return g
     counts = np.searchsorted(es, np.arange(1, n), side="right")
-    if modulus is None:
-        for i in range(1, n):
-            k = counts[i - 1]
-            if k:
-                acc = int(g[i - es[:k]] @ cs[:k])
-                g[i] = (int(g[i]) - acc) & _WORD_MASK
-    else:
-        for i in range(1, n):
-            k = counts[i - 1]
-            if k:
-                acc = int(g[i - es[:k]] @ cs[:k])
-                g[i] = (int(g[i]) - acc) % modulus
+    for i in range(1, n):
+        k = counts[i - 1]
+        if k:
+            acc = int(g[i - es[:k]] @ cs[:k])
+            g[i] = (int(g[i]) - acc) % wrap
     return g
 
 
@@ -253,50 +240,75 @@ def _expand_factors_residue(
     factors: tuple[tuple[int, int], ...], n: int, modulus: int | None
 ) -> np.ndarray:
     """f-product coefficients as uint64: raw words (exact mod 2^64) when
-    modulus is None, else reduced mod the given small modulus."""
+    modulus is None, else reduced mod the given small odd modulus."""
+
+    wrap = 1 << 64 if modulus is None else modulus
 
     def build(limit):
+        passes = [
+            (r > 0, _np_terms(terms, wrap))
+            for delta, r in factors
+            for terms in _factor_passes(delta, r, limit)
+        ]
+        if modulus is not None:
+            widest = max((len(exps) for _, (exps, _) in passes), default=0)
+            assert widest * (modulus - 1) ** 2 < 1 << 64, "uint64 pass sums would wrap"
         acc = np.zeros(limit, dtype=np.uint64)
         acc[0] = 1
-        for delta, r in factors:
-            for terms in _factor_passes(delta, r, limit):
-                exps, coefs = _np_terms(terms, modulus)
-                if r > 0:
-                    acc = _np_mul_pass(acc, exps, coefs, limit, modulus)
-                else:
-                    acc = _np_div_pass(acc, exps, coefs, limit, modulus)
+        for is_mul, (exps, coefs) in passes:
+            if is_mul:
+                acc = _np_mul_pass(acc, exps, coefs, limit, modulus)
+            else:
+                acc = _np_div_pass(acc, exps, coefs, limit, wrap)
         return acc
 
-    return _residue_cache.get((factors, modulus), n, build)[:n]
+    return _cached(_residue_cache, (factors, modulus), n, build)[:n]
 
 
 def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
-    """Fast path: residues mod `modulus` of the monomial's coefficients for
-    exponents [qpower, order), returned as a plain array indexed from the
-    valuation.  Only valuation-0 monomials are accepted here; congruence
-    scans never need a principal part."""
+    """Residues mod `modulus` of the monomial's coefficients for exponents
+    [0, order), as a uint64 array.  Only valuation-0 monomials are accepted
+    here; congruence scans never need a principal part.
+
+    Any modulus M <= 2^63 whose odd part is at most 2^15 is served: the
+    power-of-two part reads the cached word array, the odd part the
+    reduced array, and a composite M combines the two by CRT.  Orders
+    above MAX_ORDER are refused before anything is allocated."""
     if monomial.qpower != 0:
         raise ValueError("residue scans expect a valuation-0 monomial")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if _pow2_exponent(modulus) is not None:
-        arr = _expand_factors_residue(monomial.factors, order, None)
-        out = arr & np.uint64(modulus - 1)
-    elif modulus <= _SMALL_MODULUS_LIMIT:
-        arr = _expand_factors_residue(monomial.factors, order, modulus)
-        out = arr.copy()
+    if order > MAX_ORDER:
+        raise InsufficientPrecision(
+            f"required order {order} above the configured ceiling {MAX_ORDER}"
+        )
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
+    two = modulus & -modulus
+    odd = modulus // two
+    if modulus > 1 << 63 or odd > _SMALL_MODULUS_LIMIT:
+        raise UnsupportedModulus(
+            f"modulus {modulus} outside the residue range (M <= 2^63, odd part <= 2^15)"
+        )
+    if two > 1 and odd > 1:
+        # each part goes through this function, so traces show both paths
+        a2 = residue_array(monomial, order, two)
+        ao = residue_array(monomial, order, odd)
+        # x = a2 + two * t with t = (ao - a2) * two^-1 mod odd.  Before its
+        # last reduction t is a product of factors below 2 * odd and odd,
+        # so below 2^31; x < two * odd = M < 2^63.  Nothing wraps.
+        inv_two = np.uint64(pow(two, -1, odd))
+        t = (ao + np.uint64(odd) - a2 % np.uint64(odd)) * inv_two % np.uint64(odd)
+        return a2 + np.uint64(two) * t
+    if odd == 1:
+        out = _expand_factors_residue(monomial.factors, order, None) & np.uint64(modulus - 1)
     else:
-        raise UnsupportedModulus(f"modulus {modulus} outside the fast-path range")
-    if monomial.coefficient != 1:
-        c = monomial.coefficient % modulus
-        out = (out * np.uint64(c)) % np.uint64(modulus)
+        out = _expand_factors_residue(monomial.factors, order, modulus).copy()
+    c = monomial.coefficient % modulus
+    if c != 1:
+        # a power-of-two modulus divides 2^64, so the product may wrap
+        out = out * np.uint64(c) % np.uint64(modulus)
     return out
-
-
-def _pow2_exponent(m: int) -> int | None:
-    if m >= 2 and (m & (m - 1)) == 0 and m <= (1 << 63):
-        return m.bit_length() - 1
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +350,17 @@ def expand_sum(s: FQuotientSum, n: int) -> TruncatedSeries:
 def expand_monomial_mod(m: FMonomial, n: int, modulus: int) -> ResidueSeries:
     """Residue expansion of a monomial; same window convention as
     expand_monomial but coefficients reduced into [0, modulus)."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
     if n < 1:
         raise ValueError("order must be >= 1")
     length = n - m.qpower
-    if length < 1 or m.coefficient % modulus == 0:
+    # an empty window still goes through residue_array, which checks the modulus
+    arr = residue_array(FMonomial(m.coefficient, 0, m.factors), max(length, 1), modulus)
+    arr = arr[: max(length, 0)]
+    nonzero = np.flatnonzero(arr)
+    if nonzero.size == 0:
         return ResidueSeries(modulus, n, (), n)
-    base = FMonomial(1, 0, m.factors)
-    arr = residue_array(base, length, modulus)
-    if m.coefficient % modulus != 1:
-        arr = (arr * np.uint64(m.coefficient % modulus)) % np.uint64(modulus)
-    coeffs = tuple(int(x) for x in arr)
-    lead = 0
-    while lead < len(coeffs) and coeffs[lead] == 0:
-        lead += 1
-    if lead == len(coeffs):
-        return ResidueSeries(modulus, n, (), n)
-    return ResidueSeries(modulus, m.qpower + lead, coeffs[lead:], n)
+    lead = int(nonzero[0])
+    return ResidueSeries(modulus, m.qpower + lead, tuple(int(x) for x in arr[lead:]), n)
 
 
 # ---------------------------------------------------------------------------

@@ -55,15 +55,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "suite": self.name,
-            "label": self.label,
-            "parameters": dict(self.parameters),
-            "passed": self.passed,
-            "records": [r.to_record() for r in sorted(self.results, key=lambda r: r.name)],
-        }
-
 
 def _jsonable(obj):
     if isinstance(obj, Fraction):

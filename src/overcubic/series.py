@@ -12,22 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .errors import (
-    InsufficientPrecision,
-    NonUnitLeadingCoefficient,
-    UnsupportedModulus,
-)
-
-_WORD_MASK = (1 << 64) - 1
-# np.convolve accumulates in uint64; for a non-power-of-two modulus m the
-# partial sums are < len * m**2, so m below this limit never overflows.
-_SMALL_MODULUS_LIMIT = 1 << 15
-
-
-def _is_pow2(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
+from .errors import InsufficientPrecision, NonUnitLeadingCoefficient
 
 
 @dataclass(frozen=True)
@@ -318,38 +303,3 @@ def reduce_mod(a: TruncatedSeries, modulus: int) -> ResidueSeries:
     return ResidueSeries(
         modulus, a.valuation, tuple(c % modulus for c in a.coeffs), a.order
     )
-
-
-def residue_add(a: ResidueSeries, b: ResidueSeries) -> ResidueSeries:
-    if a.modulus != b.modulus:
-        raise ValueError("residue series moduli differ")
-    m = a.modulus
-    order = min(a.order, b.order)
-    lo = min(a.valuation, b.valuation, order)
-    wa = a.window(lo, order)
-    wb = b.window(lo, order)
-    return ResidueSeries(m, lo, tuple((x + y) % m for x, y in zip(wa, wb)), order)
-
-
-def residue_mul(a: ResidueSeries, b: ResidueSeries) -> ResidueSeries:
-    """Residue Cauchy product on fixed-width words.  Powers of two up to 2^63
-    ride the natural uint64 wraparound; other moduli must be small enough
-    that the convolution never overflows."""
-    if a.modulus != b.modulus:
-        raise ValueError("residue series moduli differ")
-    m = a.modulus
-    val = a.valuation + b.valuation
-    order = min(a.order + b.valuation, b.order + a.valuation)
-    if order <= val or not a.coeffs or not b.coeffs:
-        return ResidueSeries(m, order, (), order)
-    n = order - val
-    aa = np.array(a.coeffs[: min(len(a.coeffs), n)], dtype=np.uint64)
-    bb = np.array(b.coeffs[: min(len(b.coeffs), n)], dtype=np.uint64)
-    cv = np.convolve(aa, bb)[:n]
-    if _is_pow2(m) and m <= (1 << 63):
-        cv &= np.uint64(m - 1)
-    elif m <= _SMALL_MODULUS_LIMIT:
-        cv %= np.uint64(m)
-    else:
-        raise UnsupportedModulus(f"modulus {m} outside the fast-path range")
-    return ResidueSeries(m, val, tuple(int(x) for x in cv), order)

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +170,84 @@ def test_job_file_fills_unset_flags(tmp_path, capsys):
     assert report["parameters"]["modulus"] == 4
     assert report["parameters"]["j"] == 6
     assert report["parameters"]["n_limit"] == 25
+
+
+@pytest.mark.parametrize(
+    "job",
+    [[1, 2], {"mod": "x"}, {"func": "x"}],
+    ids=["json-list", "wrong-typed-value", "non-flag-key"],
+)
+def test_bad_job_file_exits_two(tmp_path, capsys, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    argv = ["verify", "--job", str(path), "--family", "overcubic-triple",
+            "--progression", "8,7", "--n-limit", "5"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # the parser rejects bad flags this way
+        code = exc.code
+    assert code == 2
+
+
+M_ABOVE_2_63 = str(3 << 62)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--family", "overcubic-triple", "--mod", M_ABOVE_2_63, "--x-grid", "100"],
+        ["verify", "--family", "overcubic-triple", "--progression", "8,7",
+         "--mod", M_ABOVE_2_63, "--n-limit", "30"],
+        ["scan", "--family", "overcubic-triple", "--max-m", "2", "--moduli", M_ABOVE_2_63,
+         "--n-min", "100"],
+        ["expand", "--family", "overcubic-triple", "--order", "40", "--mod", M_ABOVE_2_63],
+    ],
+    ids=["density", "verify", "scan", "expand"],
+)
+def test_modulus_above_2_63_exits_two(capsys, argv):
+    assert main(argv) == 2
+    assert "UnsupportedModulus" in capsys.readouterr().err
+
+
+def test_verify_at_2_63_runs(capsys):
+    code, out = run_cli(
+        capsys, "verify", "--family", "overcubic-triple", "--progression", "8,7",
+        "--mod", str(1 << 63), "--n-limit", "30"
+    )
+    assert code == 1
+    assert json.loads(out)["records"][0]["first_violation"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--family", "overcubic-triple", "--mod", "4", "--x-grid", "4000001"],
+        ["scan", "--family", "overcubic-triple", "--max-m", "2", "--moduli", "4",
+         "--order", "4000001"],
+        ["expand", "--family", "overcubic-triple", "--mod", "4", "--order", "4000001"],
+    ],
+    ids=["density", "scan", "expand"],
+)
+def test_order_ceiling_exits_two_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "ceiling" in capsys.readouterr().err
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_runs(script):
+    src = str(script.parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--help"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
 
 
 def test_module_entry_point_runs():

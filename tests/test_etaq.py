@@ -103,7 +103,7 @@ def test_ktuple_power_law():
 def test_residue_expansion_agrees_with_exact():
     n = 400
     exact = expand_monomial(TRIPLE, n)
-    for m in (2, 64, 3, 9, 384):
+    for m in (2, 64, 3, 9, 384, 6, 12, 96, 3 << 40, 32749 << 20):
         fast = expand_monomial_mod(TRIPLE, n, m)
         assert reduce_mod(exact, m).window(0, n) == fast.window(0, n)
 
@@ -113,6 +113,8 @@ def test_residue_array_rejects_bad_inputs():
         residue_array(FMonomial.make(qpower=1, factors={1: 1}), 10, 4)
     with pytest.raises(UnsupportedModulus):
         residue_array(TRIPLE, 10, (1 << 20) + 1)
+    with pytest.raises(UnsupportedModulus):  # even when no coefficient is in the window
+        expand_monomial_mod(FMonomial.make(qpower=50, factors={1: -3}), 40, 3 << 62)
 
 
 # -- theta series ---------------------------------------------------------------

@@ -16,8 +16,6 @@ from overcubic.series import (
     one,
     power,
     reduce_mod,
-    residue_add,
-    residue_mul,
     scale,
     shift,
     sub,
@@ -190,27 +188,10 @@ def test_mul_distributes_over_add(a, b):
     assert left.window(lo, n) == right.window(lo, n)
 
 
-@given(series_strategy(), st.integers(min_value=2, max_value=13), st.integers(min_value=2, max_value=13))
-@settings(deadline=None)
-def test_reduce_mod_is_multiplicative(a, m_small, m_bits):
-    for m in (m_small, 1 << m_bits):
-        b = ts([1, -3, 5, -7])
-        direct = reduce_mod(mul(a, b), m)
-        split = residue_mul(reduce_mod(a, m), reduce_mod(b, m))
-        n = min(direct.order, split.order)
-        lo = min(direct.valuation, split.valuation, n)
-        assert direct.window(lo, n) == split.window(lo, n)
-
-
 @given(series_strategy())
 @settings(deadline=None)
 def test_sub_self_is_zero(a):
     assert sub(a, a).is_zero()
-
-
-def test_residue_add_matches_reduce():
-    a, b = ts([1, 2, 3]), ts([5, -2, 9])
-    assert residue_add(reduce_mod(a, 4), reduce_mod(b, 4)) == reduce_mod(add(a, b), 4)
 
 
 def test_residue_series_validates():
