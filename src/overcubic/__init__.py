@@ -4,7 +4,6 @@ k-tuples and related families."""
 __version__ = "0.1.0"
 
 from .series import (  # noqa: F401
-    ResidueSeries,
     TruncatedSeries,
     add,
     dilate,

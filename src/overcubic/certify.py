@@ -162,4 +162,8 @@ def certificate_from_dict(d: dict) -> RaduCertificate:
 def load_certificate(ref) -> RaduCertificate:
     from . import catalogs
 
-    return certificate_from_dict(catalogs.load(ref))
+    data = catalogs.load(ref)
+    try:
+        return certificate_from_dict(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed certificate {ref}: {exc!r}") from exc

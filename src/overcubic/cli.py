@@ -40,14 +40,10 @@ def _monomial_from_args(args) -> etaq.FMonomial:
     if args.family is not None:
         return etaq.family_monomial(etaq.Family(args.family, args.k))
     if args.factors is None:
-        raise SystemExit2("one of --family or --factors is required")
+        raise ValueError("one of --family or --factors is required")
     return etaq.FMonomial.make(
         coefficient=args.coefficient, qpower=args.qpower, factors=_parse_factors(args.factors)
     )
-
-
-class SystemExit2(Exception):
-    """Usage error surfaced with exit code 2."""
 
 
 def _require(args, *names: str) -> None:
@@ -55,7 +51,7 @@ def _require(args, *names: str) -> None:
     come from either flags or the job."""
     missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
     if missing:
-        raise SystemExit2(
+        raise ValueError(
             "missing required arguments: " + ", ".join("--" + n for n in missing)
         )
 
@@ -67,7 +63,7 @@ def _report(
     `body`, or `csv_text` under --format csv; returns the exit code."""
     if args.format == "csv":
         if csv_text is None:
-            raise SystemExit2("this subcommand has no CSV form")
+            raise ValueError("this subcommand has no CSV form")
         text = csv_text
     else:
         text = to_json(
@@ -112,11 +108,13 @@ def cmd_coeffs(args) -> int:
         indices = _parse_ints(args.indices)
     elif args.progression is not None:
         m, j = _parse_ints(args.progression)
+        if m < 1:  # a negative j fails the index check below
+            raise ValueError("--progression m,j needs m >= 1")
         indices = [m * n + j for n in range(args.n_limit + 1)]
     else:
-        raise SystemExit2("one of --indices or --progression is required")
+        raise ValueError("one of --indices or --progression is required")
     if not indices or min(indices) < 0:
-        raise SystemExit2("indices must be nonnegative")
+        raise ValueError("indices must be nonnegative")
     order = max(indices) + 1
     if args.mod is not None:
         s = etaq.expand_monomial_mod(mon, order, args.mod)
@@ -170,7 +168,6 @@ def cmd_scan(args) -> int:
         max_m=args.max_m,
         moduli=tuple(_parse_ints(args.moduli)),
         n_min=args.n_min,
-        order=args.order,
     )
     claims = congruence.scan(cfg)
     parameters = {
@@ -179,7 +176,7 @@ def cmd_scan(args) -> int:
         "max_m": cfg.max_m,
         "moduli": sorted(cfg.moduli),
         "n_min": cfg.n_min,
-        "order": cfg.order if cfg.order is not None else cfg.needed_order(),
+        "order": cfg.needed_order(),
     }
     records = sorted((c.to_dict() for c in claims), key=lambda d: (d["m"], d["j"]))
     return _report(
@@ -212,7 +209,7 @@ def cmd_identity(args) -> int:
     if args.name:
         claims = [c for c in claims if c.name == args.name]
         if not claims:
-            raise SystemExit2(f"no identity named {args.name!r} in {args.catalog}")
+            raise ValueError(f"no identity named {args.name!r} in {args.catalog}")
     results = dissect.verify_catalog(claims, args.order)
     return _report(
         args,
@@ -337,10 +334,9 @@ def _run_suite(name: str, args) -> tuple[list, dict]:
         order = args.order if args.order is not None else 300
         cert = certify.load_certificate("certs/bt_8n7.json")
         return [certify.verify_certificate(cert, order)], {name: {"order": order}}
-    if name == "lacunary":
-        results = _lacunary_results([100, 1000, 10000], range(1, 5), (3, 4, 5, 6))
-        return results, {name: {"x_grid": [100, 1000, 10000]}}
-    raise SystemExit2(f"unknown suite {name!r}")
+    # lacunary; argparse choices reject any other name
+    results = _lacunary_results([100, 1000, 10000], range(1, 5), (3, 4, 5, 6))
+    return results, {name: {"x_grid": [100, 1000, 10000]}}
 
 
 def cmd_paper_suite(args) -> int:
@@ -423,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int)
     p.add_argument("--moduli", help="comma-separated candidate moduli")
     p.add_argument("--n-min", type=int, default=500)
-    p.add_argument("--order", type=int, default=None, help="derived from n-min when omitted")
     _add_output_options(p)
     p.set_defaults(func=cmd_scan)
 
@@ -483,7 +478,7 @@ def _with_job(path: str, argv: list[str]) -> list[str]:
     later, win."""
     job = json.loads(Path(path).read_text())
     if not isinstance(job, dict):
-        raise SystemExit2(f"job file {path} must hold a JSON object of flags")
+        raise ValueError(f"job file {path} must hold a JSON object of flags")
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in job.items()]
     return argv[:1] + flags + argv[1:]
 
@@ -496,10 +491,7 @@ def main(argv=None) -> int:
         if args.job:
             args = parser.parse_args(_with_job(args.job, argv))
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QSeriesError as exc:

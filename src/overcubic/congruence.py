@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import etaq
-from .errors import InsufficientPrecision
 from .reporting import SuiteReport, VerificationResult
 
 STATUSES = ("proved-in-paper", "conjectured", "discovered")
@@ -133,7 +132,6 @@ class ScanConfig:
     max_m: int
     moduli: tuple[int, ...]
     n_min: int = 500
-    order: int | None = None
 
     def __post_init__(self):
         if self.max_m < 1:
@@ -153,11 +151,7 @@ def scan(cfg: ScanConfig) -> list[CongruenceClaim]:
     configured modulus dividing every sampled coefficient.  A claim is kept
     only when the winning modulus at n_min samples is unchanged at twice as
     many, which suppresses truncation-order artifacts."""
-    order = cfg.order if cfg.order is not None else cfg.needed_order()
-    if order < cfg.needed_order():
-        raise InsufficientPrecision(
-            f"scan needs order >= {cfg.needed_order()}, got {order}"
-        )
+    order = cfg.needed_order()
     mon = etaq.family_monomial(cfg.family)
     moduli = sorted(set(cfg.moduli), reverse=True)
     arrays = {modulus: etaq.residue_array(mon, order, modulus) for modulus in moduli}

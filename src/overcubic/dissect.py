@@ -140,4 +140,10 @@ def claim_from_dict(d: dict) -> IdentityClaim:
 def load_identity_catalog(ref) -> list[IdentityClaim]:
     from . import catalogs
 
-    return [claim_from_dict(d) for d in catalogs.load(ref)]
+    entries = catalogs.load(ref)
+    if not isinstance(entries, list):
+        raise ValueError(f"identity catalog {ref} must hold a JSON list of identities")
+    try:
+        return [claim_from_dict(d) for d in entries]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed identity catalog {ref}: {exc!r}") from exc

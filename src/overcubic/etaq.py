@@ -24,7 +24,7 @@ import numpy as np
 
 from . import catalogs
 from .errors import InsufficientPrecision, NonIntegerWeight, UnsupportedModulus
-from .series import TruncatedSeries, ResidueSeries, zero
+from .series import TruncatedSeries, zero
 
 # hard ceiling on residue expansion orders so a mistyped size fails fast
 MAX_ORDER = 4_000_000
@@ -347,7 +347,7 @@ def expand_sum(s: FQuotientSum, n: int) -> TruncatedSeries:
     return total
 
 
-def expand_monomial_mod(m: FMonomial, n: int, modulus: int) -> ResidueSeries:
+def expand_monomial_mod(m: FMonomial, n: int, modulus: int) -> TruncatedSeries:
     """Residue expansion of a monomial; same window convention as
     expand_monomial but coefficients reduced into [0, modulus)."""
     if n < 1:
@@ -355,12 +355,9 @@ def expand_monomial_mod(m: FMonomial, n: int, modulus: int) -> ResidueSeries:
     length = n - m.qpower
     # an empty window still goes through residue_array, which checks the modulus
     arr = residue_array(FMonomial(m.coefficient, 0, m.factors), max(length, 1), modulus)
-    arr = arr[: max(length, 0)]
-    nonzero = np.flatnonzero(arr)
-    if nonzero.size == 0:
-        return ResidueSeries(modulus, n, (), n)
-    lead = int(nonzero[0])
-    return ResidueSeries(modulus, m.qpower + lead, tuple(int(x) for x in arr[lead:]), n)
+    if length < 1:
+        return zero(n)
+    return TruncatedSeries.make(m.qpower, arr.tolist(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +430,19 @@ class EtaQuotient:
     arithmetic of the lacunarity criterion ever touches it."""
 
     factors: tuple[tuple[int, int], ...]
-    weight_times_2: int
-    d_g: int
 
     @classmethod
     def make(cls, factors: Mapping[int, int] | Iterable[tuple[int, int]]) -> "EtaQuotient":
-        items = factors.items() if isinstance(factors, Mapping) else factors
-        cleaned = sorted((int(d), int(r)) for d, r in items if int(r) != 0)
-        weight2 = sum(r for _, r in cleaned)
-        numer = [d for d, r in cleaned if r > 0]
-        dg = 0
-        for d in numer:
-            dg = gcd(dg, d)
-        return cls(tuple(cleaned), weight2, dg)
+        return cls(FMonomial.make(factors=factors).factors)
 
-    def __post_init__(self):
-        if self.weight_times_2 != sum(r for _, r in self.factors):
-            raise ValueError("weight_times_2 inconsistent with factors")
-        for d, r in self.factors:
-            if r > 0 and self.d_g and d % self.d_g:
-                raise ValueError("d_g must divide every numerator delta")
+    @property
+    def weight_times_2(self) -> int:
+        return sum(r for _, r in self.factors)
+
+    @property
+    def d_g(self) -> int:
+        """gcd of the numerator deltas (0 without a numerator)."""
+        return gcd(*(d for d, r in self.factors if r > 0))
 
 
 @dataclass(frozen=True)

@@ -139,4 +139,5 @@ class PartCounter:
         raise ValueError(f"no enumeration for family {name!r}")
 
     def table(self, n_max: int) -> list[int]:
+        _check_cap(n_max, self.cap)
         return [self.count(n) for n in range(n_max + 1)]

@@ -59,8 +59,6 @@ class SuiteReport:
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
@@ -91,8 +89,4 @@ def to_csv(rows: list[dict[str, Any]], columns: tuple[str, ...]) -> str:
 
 
 def _csv_cell(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if value is None:
-        return ""
-    return value
+    return "" if value is None else value

@@ -112,13 +112,6 @@ def constant(c: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(0, (c,) + (0,) * (order - 1), order)
 
 
-def q_power(e: int, order: int) -> TruncatedSeries:
-    """The monomial q^e trusted below `order` (exponents, not length)."""
-    if order <= e:
-        return zero(order)
-    return TruncatedSeries(e, (1,) + (0,) * (order - e - 1), order)
-
-
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     order = min(a.order, b.order)
     lo = min(a.valuation, b.valuation, order)
@@ -245,61 +238,12 @@ def equal_to_order(a, b, n: int) -> bool:
         raise InsufficientPrecision(
             f"comparison below {n} needs orders >= {n}, have {a.order} and {b.order}"
         )
-    if isinstance(a, ResidueSeries) != isinstance(b, ResidueSeries):
-        raise TypeError("cannot compare exact and residue series")
-    if isinstance(a, ResidueSeries) and a.modulus != b.modulus:
-        raise ValueError("residue series moduli differ")
     return first_difference(a, b, n) is None
 
 
-@dataclass(frozen=True)
-class ResidueSeries:
-    """Series shape mirroring TruncatedSeries with coefficients reduced into
-    [0, modulus)."""
-
-    modulus: int
-    valuation: int
-    coeffs: tuple[int, ...]
-    order: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        if len(self.coeffs) != self.order - self.valuation:
-            raise ValueError("coefficient window must match [valuation, order)")
-        if any(c < 0 or c >= self.modulus for c in self.coeffs):
-            raise ValueError("residues must lie in [0, modulus)")
-
-    def coefficient(self, exponent: int) -> int:
-        if exponent >= self.order:
-            raise InsufficientPrecision(
-                f"coefficient of q^{exponent} requested, trusted only below {self.order}"
-            )
-        if exponent < self.valuation:
-            return 0
-        return self.coeffs[exponent - self.valuation]
-
-    def __getitem__(self, exponent: int) -> int:
-        return self.coefficient(exponent)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    window = TruncatedSeries.window
-
-    def __repr__(self):
-        shown = ", ".join(str(c) for c in self.coeffs[:8])
-        more = ", ..." if len(self.coeffs) > 8 else ""
-        return (
-            f"ResidueSeries(mod={self.modulus}, valuation={self.valuation},"
-            f" order={self.order}, coeffs=[{shown}{more}])"
-        )
-
-
-def reduce_mod(a: TruncatedSeries, modulus: int) -> ResidueSeries:
-    """Map every coefficient to its least nonnegative residue."""
+def reduce_mod(a: TruncatedSeries, modulus: int) -> TruncatedSeries:
+    """Map every coefficient to its least nonnegative residue; the valuation
+    moves to the first nonzero residue."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    return ResidueSeries(
-        modulus, a.valuation, tuple(c % modulus for c in a.coeffs), a.order
-    )
+    return TruncatedSeries.make(a.valuation, (c % modulus for c in a.coeffs), a.order)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from overcubic import catalogs
 from overcubic.cli import main
 
 
@@ -223,7 +224,7 @@ def test_verify_at_2_63_runs(capsys):
     [
         ["density", "--family", "overcubic-triple", "--mod", "4", "--x-grid", "4000001"],
         ["scan", "--family", "overcubic-triple", "--max-m", "2", "--moduli", "4",
-         "--order", "4000001"],
+         "--n-min", "1000000"],
         ["expand", "--family", "overcubic-triple", "--mod", "4", "--order", "4000001"],
     ],
     ids=["density", "scan", "expand"],
@@ -233,6 +234,49 @@ def test_order_ceiling_exits_two_at_once(capsys, argv):
     assert main(argv) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "ceiling" in capsys.readouterr().err
+
+
+CERT_WITHOUT_BASE = {
+    k: v for k, v in json.loads(catalogs.read_text("certs/bt_8n7.json")).items() if k != "base"
+}
+
+# argv with "{dir}" for a directory and "{file}" for a file holding the JSON
+BAD_INPUTS = {
+    "output-dir": (["oracle", "--family", "partition", "--max-n", "3", "--output", "{dir}"], None),
+    "catalog-dir": (["identity", "--catalog", "{dir}"], None),
+    "cert-dir": (["certificate", "--cert", "{dir}"], None),
+    "job-dir": (["oracle", "--job", "{dir}"], None),
+    "catalog-object": (["identity", "--catalog", "{file}"], {"name": "x"}),
+    "catalog-entry-without-lhs": (
+        ["identity", "--catalog", "{file}"], [{"name": "x", "rhs": {"sum": []}}]
+    ),
+    "certificate-without-base": (["certificate", "--cert", "{file}"], CERT_WITHOUT_BASE),
+    "coeffs-progression-0-0": (
+        ["coeffs", "--family", "overcubic", "--progression", "0,0"], None
+    ),
+    "oracle-negative-max-n": (["oracle", "--family", "overcubic", "--max-n", "-3"], None),
+    "scan-order": (
+        ["scan", "--family", "partition", "--max-m", "2", "--moduli", "5", "--order", "100000"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_two_with_a_message(tmp_path, capsys, case):
+    argv, content = BAD_INPUTS[case]
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    argv = [a.format(dir=tmp_path, file=path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags this way
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))

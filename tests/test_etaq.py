@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_euler_product
 from overcubic import oracle
@@ -100,12 +102,21 @@ def test_ktuple_power_law():
         assert equal_to_order(direct, power(single, k), n)
 
 
-def test_residue_expansion_agrees_with_exact():
-    n = 400
-    exact = expand_monomial(TRIPLE, n)
-    for m in (2, 64, 3, 9, 384, 6, 12, 96, 3 << 40, 32749 << 20):
-        fast = expand_monomial_mod(TRIPLE, n, m)
-        assert reduce_mod(exact, m).window(0, n) == fast.window(0, n)
+monomials = st.builds(
+    FMonomial.make,
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=-5, max_value=60),
+    st.dictionaries(
+        st.integers(min_value=1, max_value=16), st.integers(min_value=-7, max_value=7), max_size=4
+    ),
+)
+RESIDUE_MODULI = (2, 64, 3, 9, 384, 6, 12, 96, 3 << 40, 32749 << 20, 1 << 63)
+
+
+@given(monomials, st.integers(min_value=1, max_value=300), st.sampled_from(RESIDUE_MODULI))
+@settings(max_examples=300, deadline=None)
+def test_residue_expansion_agrees_with_exact(m, n, modulus):
+    assert expand_monomial_mod(m, n, modulus) == reduce_mod(expand_monomial(m, n), modulus)
 
 
 def test_residue_array_rejects_bad_inputs():

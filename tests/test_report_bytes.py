@@ -1,0 +1,66 @@
+"""Report bytes of fast CLI commands, pinned by sha256.
+
+Every subcommand appears at least once, in JSON and in CSV.  The table
+was recorded before the residue series type was folded into
+`TruncatedSeries`; a change that alters any row must say why it changes
+the report.
+"""
+import hashlib
+import json
+
+import pytest
+
+from overcubic.cli import main
+
+REPORTS = [
+    ("expand --family overcubic-triple --order 30 --mod 384", 0,
+     "1010695e39526679dfdddeadcd40746f3031ad6e6f7d91d8b076a3b2c799fcef"),
+    ("expand --factors 4:1,1:-2,2:-1 --qpower -1 --coefficient 3 --order 12", 0,
+     "2a072c6d5bc27053d01a26a4232f135ed1e837c9528da772d8bdf32a7e3c7ede"),
+    ("coeffs --family overcubic-triple --progression 8,7 --n-limit 10 --format csv", 0,
+     "09910de8befab7d030768df4ab927dbc95d00a3842bf28a583ae592a26e2e4c3"),
+    ("coeffs --family overcubic-triple --indices 0,5,100 --mod 64", 0,
+     "5d176b1df850ba813abeb586ec1946433d74a256431f9aacee6e25b18a74f2a8"),
+    ("verify --family overcubic-triple --progression 8,7 --mod 64 --n-limit 100 --format csv", 0,
+     "cbecc83ef960f6dfe0499519b08a8a360fea2c4ee612c6e457e6213aeb3e44e4"),
+    ("verify --family overcubic-triple --progression 4,1 --mod 4 --n-limit 10", 1,
+     "084d31845e95cc4b1ac571a0f7fd6cb73e36ec0db0619f8af0d8948af98bf730"),
+    ("scan --family partition --max-m 5 --moduli 5,7 --n-min 150", 0,
+     "d57c6acb72aeb0ef72cc4e9b18f4b9bc22915003de2a6be3c3293e75002362de"),
+    # leading residue 1, so folding the valuation leaves this report alone
+    ("dissect --family overcubic-triple --m 2 --j 0 --order 10 --mod 4", 0,
+     "79b5d884fb70b899f4a4c909478c6d36635a1dfbf8014c1938c74a4c65511530"),
+    ("identity --catalog identities/theta_dissections.json --order 300", 0,
+     "2226bd06a025190066d2597cefece362463fb801a821d3193e75e2eae0f8d225"),
+    ("certificate --order 100", 0,
+     "0e85edf990ec4f0c63e9f36be25a5b6b4d876fce95f23731cff8223b047d12e1"),
+    ("density --family overcubic-triple --mod 384 --x-grid 100,1000 --format csv", 0,
+     "3629a1c7b97d5dd07379f113f4201331b092694286d8e28974b3553fcdb9099b"),
+    ("oracle --family overcubic --max-n 6", 0,
+     "61a4e345d41ed2ab74e2fe64d84a057fcaf741f8c71baa16c3cb5b9d47e05472"),
+    ("paper-suite --theorem 9 --order 300", 0,
+     "49ba8d2261554f9dfd0653887a3d4170c69d4af46191cd0c87135495eed59b33"),
+    ("paper-suite --theorem 9 --order 300 --format csv", 0,
+     "823b9f2b0e05ced1f4002e635edb3c8ad4286aace3d1425ee80faafe77d8fe7a"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", REPORTS, ids=[r[0] for r in REPORTS])
+def test_report_bytes_are_pinned(capsys, command, code, digest):
+    assert main(command.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "expand --factors 4:1,1:-2,2:-1 --coefficient 2 --order 6 --mod 2",
+        "dissect --family overcubic --m 2 --j 1 --order 6 --mod 2",
+    ],
+    ids=["expand", "dissect"],
+)
+def test_all_zero_residue_window_has_valuation_at_order(capsys, command):
+    assert main(command.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not any(report["coefficients"])
+    assert report["valuation"] == report["order"] == 6

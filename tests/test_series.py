@@ -6,7 +6,6 @@ from conftest import naive_convolution, naive_euler_product, naive_partition_cou
 from overcubic.errors import InsufficientPrecision, NonUnitLeadingCoefficient
 from overcubic.etaq import expand_f
 from overcubic.series import (
-    ResidueSeries,
     TruncatedSeries,
     add,
     dilate,
@@ -141,6 +140,9 @@ def test_reduce_mod_examples():
     assert reduce_mod(ts([1, -2]), 2).coeffs == (1, 0)
     r = reduce_mod(ts([0, 6]), 4)
     assert r.window(0, 2) == [0, 2]
+    # the valuation moves past residues that vanish
+    assert reduce_mod(ts([4, 6]), 4) == TruncatedSeries(1, (2,), 2)
+    assert reduce_mod(ts([4, 8]), 4) == zero(2)
     with pytest.raises(ValueError):
         reduce_mod(ts([1]), 1)
 
@@ -192,8 +194,3 @@ def test_mul_distributes_over_add(a, b):
 @settings(deadline=None)
 def test_sub_self_is_zero(a):
     assert sub(a, a).is_zero()
-
-
-def test_residue_series_validates():
-    with pytest.raises(ValueError):
-        ResidueSeries(4, 0, (4,), 1)
