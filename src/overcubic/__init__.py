@@ -15,10 +15,8 @@ from .series import (  # noqa: F401
     shift,
 )
 from .etaq import (  # noqa: F401
-    EtaQuotient,
     Family,
     FMonomial,
-    FQuotientSum,
     cotron_check,
     expand_f,
     expand_monomial,

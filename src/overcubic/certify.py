@@ -53,14 +53,11 @@ class RaduCertificate:
         return all(c % self.claimed_common_factor == 0 for c in self.polynomial)
 
 
-def _poly_eval(poly: tuple[int, ...], t: TruncatedSeries) -> TruncatedSeries:
-    # Horner, highest coefficient first.  With val(t) = -v the d
+def _poly_eval(poly: tuple[int, ...], deg: int, t: TruncatedSeries) -> TruncatedSeries:
+    # Horner, highest coefficient first (poly[deg]).  With val(t) = -v the d
     # multiplications cost (d-1)*v trusted exponents in total, provided the
     # initial constant carries enough slack; the caller plans t.order so the
     # result is still trusted to the comparison window.
-    deg = len(poly) - 1
-    while deg > 0 and poly[deg] == 0:
-        deg -= 1
     slack = max(0, -t.valuation)
     acc = constant(poly[deg], t.order + slack)
     for i in range(deg - 1, -1, -1):
@@ -106,7 +103,7 @@ def verify_certificate(cert: RaduCertificate, n: int) -> VerificationResult:
     for j in cert.orbit:
         lhs = mul(lhs, extract_progression(base, cert.m, j))
     t = etaq.expand_monomial(cert.hauptmodul, t_order)
-    rhs = _poly_eval(cert.polynomial, t)
+    rhs = _poly_eval(cert.polynomial, deg, t)
 
     if lhs.order < n or rhs.order < n:
         raise InsufficientPrecision(

@@ -46,16 +46,6 @@ def _monomial_from_args(args) -> etaq.FMonomial:
     )
 
 
-def _require(args, *names: str) -> None:
-    """Presence check deferred past job-file merging, so required values may
-    come from either flags or the job."""
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        raise ValueError(
-            "missing required arguments: " + ", ".join("--" + n for n in missing)
-        )
-
-
 def _report(
     args, command: str, parameters: dict, body: dict, passed: bool = True, csv_text=None
 ) -> int:
@@ -88,7 +78,6 @@ def _report(
 
 
 def cmd_expand(args) -> int:
-    _require(args, "order")
     mon = _monomial_from_args(args)
     if args.mod is not None:
         s = etaq.expand_monomial_mod(mon, args.order, args.mod)
@@ -134,7 +123,6 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require(args, "family", "progression", "mod", "n-limit")
     m, j = _parse_ints(args.progression)
     claim = congruence.CongruenceClaim(
         family=etaq.Family(args.family, args.k),
@@ -162,7 +150,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    _require(args, "family", "max-m", "moduli")
     cfg = congruence.ScanConfig(
         family=etaq.Family(args.family, args.k),
         max_m=args.max_m,
@@ -185,7 +172,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_dissect(args) -> int:
-    _require(args, "m", "j", "order")
     mon = _monomial_from_args(args)
     base_order = args.m * args.order + args.j
     base = etaq.expand_monomial(mon, base_order)
@@ -204,7 +190,6 @@ def cmd_dissect(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    _require(args, "catalog")
     claims = dissect.load_identity_catalog(args.catalog)
     if args.name:
         claims = [c for c in claims if c.name == args.name]
@@ -233,7 +218,6 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_density(args) -> int:
-    _require(args, "family", "mod")
     report = density.compute_density(
         etaq.Family(args.family, args.k), args.mod, args.residue, _parse_ints(args.x_grid)
     )
@@ -247,9 +231,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _require(args, "family")
-    counter = oracle.PartCounter(args.family, args.k, cap=args.cap)
-    table = counter.table(args.max_n)
+    table = oracle.table(args.family, args.max_n, args.k, args.cap)
     rows = [{"n": n, "count": c} for n, c in enumerate(table)]
     return _report(
         args,
@@ -263,8 +245,7 @@ def cmd_oracle(args) -> int:
 def _lacunary_results(x_grid: list[int], k_range, modulus_exponents) -> list:
     results = []
     for k in k_range:
-        eta = etaq.family_eta(etaq.Family("overcubic-ktuple", k))
-        rep = etaq.cotron_check(eta, 2)
+        rep = etaq.cotron_check(etaq.family_monomial(etaq.Family("overcubic-ktuple", k)), 2)
         results.append(
             VerificationResult(
                 name=f"divisibility-criterion k={k}",
@@ -320,9 +301,6 @@ def _run_suite(name: str, args) -> tuple[list, dict]:
             alpha_limit=args.alpha_limit,
             order=args.order if name == "9" else None,
         )
-        for r in report.results:
-            if report.label == congruence.CONJECTURE_LABEL:
-                r.status = congruence.CONJECTURE_LABEL
         return report.results, {name: report.parameters | {"label": report.label}}
     if name == "dissections":
         order = args.order if args.order is not None else 2000
@@ -340,7 +318,6 @@ def _run_suite(name: str, args) -> tuple[list, dict]:
 
 
 def cmd_paper_suite(args) -> int:
-    _require(args, "theorem")
     names = PAPER_SUITES if args.theorem == "all" else (args.theorem,)
     all_results = []
     parameters = {}
@@ -388,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="coefficients of an f-product below an order")
     _add_monomial_options(p)
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=int, required=True)
     p.add_argument("--mod", type=int, default=None)
     _add_output_options(p)
     p.set_defaults(func=cmd_expand)
@@ -403,36 +380,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("verify", help="check one congruence claim")
-    p.add_argument("--family", choices=sorted(catalogs.family_table()))
+    p.add_argument("--family", choices=sorted(catalogs.family_table()), required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--alpha", type=int, default=0, help="dilation exponent")
-    p.add_argument("--progression", help="m,j")
-    p.add_argument("--mod", type=int)
-    p.add_argument("--n-limit", type=int)
+    p.add_argument("--progression", help="m,j", required=True)
+    p.add_argument("--mod", type=int, required=True)
+    p.add_argument("--n-limit", type=int, required=True)
     p.add_argument("--status", choices=congruence.STATUSES, default="proved-in-paper")
     _add_output_options(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="search progressions for the largest dividing modulus")
-    p.add_argument("--family", choices=sorted(catalogs.family_table()))
+    p.add_argument("--family", choices=sorted(catalogs.family_table()), required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--max-m", type=int)
-    p.add_argument("--moduli", help="comma-separated candidate moduli")
+    p.add_argument("--max-m", type=int, required=True)
+    p.add_argument("--moduli", help="comma-separated candidate moduli", required=True)
     p.add_argument("--n-min", type=int, default=500)
     _add_output_options(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("dissect", help="extract the progression (m, j) of a series")
     _add_monomial_options(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--order", type=int, help="coefficients reported below this order")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--order", type=int, help="coefficients reported below this order", required=True)
     p.add_argument("--mod", type=int, default=None)
     _add_output_options(p)
     p.set_defaults(func=cmd_dissect)
 
     p = sub.add_parser("identity", help="verify an identity catalog")
-    p.add_argument("--catalog")
+    p.add_argument("--catalog", required=True)
     p.add_argument("--name", help="verify a single named identity")
     p.add_argument("--order", type=int, default=2000)
     _add_output_options(p)
@@ -445,16 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certificate)
 
     p = sub.add_parser("density", help="arithmetic density of a residue class")
-    p.add_argument("--family", choices=sorted(catalogs.family_table()))
+    p.add_argument("--family", choices=sorted(catalogs.family_table()), required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--mod", type=int)
+    p.add_argument("--mod", type=int, required=True)
     p.add_argument("--residue", type=int, default=0)
     p.add_argument("--x-grid", default="100,1000,10000")
     _add_output_options(p)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("oracle", help="enumeration counts (n, count) for audit")
-    p.add_argument("--family")
+    p.add_argument("--family", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--max-n", type=int, default=oracle.DEFAULT_CAP)
     p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
@@ -462,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("paper-suite", help="run a named verification suite")
-    p.add_argument("--theorem", choices=PAPER_SUITES + ("all",))
+    p.add_argument("--theorem", choices=PAPER_SUITES + ("all",), required=True)
     p.add_argument("--n-limit", type=int, default=None)
     p.add_argument("--alpha-limit", type=int, default=None)
     p.add_argument("--order", type=int, default=None)
@@ -474,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _with_job(path: str, argv: list[str]) -> list[str]:
     """argv with the job file's flags placed right after the subcommand, so
-    the parser checks them like typed flags and explicit ones, coming
-    later, win."""
+    the parser checks them like typed flags (a required flag may come from
+    the job) and explicit ones, coming later, win."""
     job = json.loads(Path(path).read_text())
     if not isinstance(job, dict):
         raise ValueError(f"job file {path} must hold a JSON object of flags")
@@ -485,11 +462,13 @@ def _with_job(path: str, argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # no abbreviations here, or `dissect --j 0` would read as --job 0; a
+    # bare --job is left for the full parser to reject
+    job_parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    job_parser.add_argument("--job", nargs="?")
     try:
-        if args.job:
-            args = parser.parse_args(_with_job(args.job, argv))
+        job = job_parser.parse_known_args(argv)[0].job
+        args = build_parser().parse_args(_with_job(job, argv) if job else argv)
         return args.func(args)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -138,6 +138,8 @@ class ScanConfig:
             raise ValueError("max_m must be >= 1")
         if self.n_min < 100:
             raise ValueError("n_min must be >= 100 to avoid vacuous discoveries")
+        if not self.moduli:
+            raise ValueError("need at least one modulus")
         if any(m < 2 for m in self.moduli):
             raise ValueError("moduli must be >= 2")
 
@@ -183,10 +185,6 @@ def _triple() -> etaq.Family:
     return etaq.Family("overcubic-triple")
 
 
-def _tuple_family(k: int) -> etaq.Family:
-    return etaq.Family("overcubic-ktuple", k)
-
-
 THEOREM_1_TABLE = (
     (4, 3, 4),
     (8, 5, 32),
@@ -221,12 +219,7 @@ def _dilated(table, alpha_limit: int, status: str) -> list[CongruenceClaim]:
     ]
 
 
-def suite_claims(
-    name: str,
-    alpha_limit: int = 5,
-    k_values: tuple[int, ...] | None = None,
-    primes: tuple[int, ...] = (3, 5, 7, 11),
-) -> tuple[list[CongruenceClaim], str]:
+def suite_claims(name: str, alpha_limit: int = 5) -> tuple[list[CongruenceClaim], str]:
     """Claim list plus evidence label for one named suite."""
     if name == "1":
         return [
@@ -247,17 +240,15 @@ def suite_claims(
         claims += _dilated(((72, 21, 128), (72, 69, 128)), alpha_limit, CONJECTURED)
         return claims, CONJECTURE_LABEL
     if name == "5":
-        ks = k_values if k_values is not None else (0, 1, 2, 3)
         return [
-            CongruenceClaim(_tuple_family(2 * k + 1), m=m, j=j, modulus=M)
-            for k in ks
+            CongruenceClaim(etaq.Family("overcubic-ktuple", 2 * k + 1), m=m, j=j, modulus=M)
+            for k in (0, 1, 2, 3)
             for (m, j, M) in THEOREM_5_TABLE
         ], PROVED
     if name == "mod4-progressions":
-        ks = k_values if k_values is not None else (0, 1)
         claims = []
-        for p in primes:
-            for k in ks:
+        for p in (3, 5, 7, 11):
+            for k in (0, 1):
                 claims.extend(nonresidue_progressions(p, k))
         return claims, PROVED
     raise ValueError(f"unknown claim suite {name!r}")
@@ -266,7 +257,7 @@ def suite_claims(
 def tuple_vs_single_mod4(k: int, order: int) -> VerificationResult:
     """Coefficientwise congruence mod 4 between the (2k+1)-tuple family and
     the single overcubic family, checked below `order`."""
-    mon_tuple = etaq.family_monomial(_tuple_family(2 * k + 1))
+    mon_tuple = etaq.family_monomial(etaq.Family("overcubic-ktuple", 2 * k + 1))
     mon_single = etaq.family_monomial(etaq.Family("overcubic"))
     a = etaq.residue_array(mon_tuple, order, 4)
     b = etaq.residue_array(mon_single, order, 4)
@@ -302,31 +293,36 @@ def theorem_suite(
     name: str,
     n_limit: int | None = None,
     alpha_limit: int | None = None,
-    k_values: tuple[int, ...] | None = None,
     order: int | None = None,
 ) -> SuiteReport:
     """Run every claim of one named result.  Defaults match the shipped
-    acceptance settings; conjecture suites are labeled as numerical
-    evidence only and their sampled alpha bound is echoed in parameters."""
+    acceptance settings; every result of a conjecture suite carries the
+    numerical-evidence label, and its sampled alpha bound is echoed in
+    parameters."""
     if name not in _SUITE_DEFAULTS:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    if alpha_limit is not None and alpha_limit < 0:
+        raise ValueError("alpha_limit must be >= 0")
     if name == "9":
-        ks = k_values if k_values is not None else (1, 2, 3)
         n = order if order is not None else _SUITE_DEFAULTS[name]
-        results = [tuple_vs_single_mod4(k, n) for k in ks]
+        results = [tuple_vs_single_mod4(k, n) for k in (1, 2, 3)]
         return SuiteReport(
-            "9", PROVED, {"order": n, "k_values": list(ks)}, sorted(results, key=lambda r: r.name)
+            "9", PROVED, {"order": n, "k_values": [1, 2, 3]}, sorted(results, key=lambda r: r.name)
         )
     n = n_limit if n_limit is not None else _SUITE_DEFAULTS[name]
     # conjecture evidence samples one dilation step deeper by default; the
     # sampled bound is echoed in the report parameters either way
     default_alpha = 6 if name.startswith("conjecture") else 5
     a_limit = alpha_limit if alpha_limit is not None else default_alpha
-    claims, label = suite_claims(name, alpha_limit=a_limit, k_values=k_values)
-    results = [verify_congruence(c, n) for c in claims]
+    claims, label = suite_claims(name, alpha_limit=a_limit)
+    # largest order first, so each residue array is built once and every
+    # later claim reads a prefix of it
+    by_order = sorted(claims, key=lambda c: required_order(c, n), reverse=True)
+    results = [verify_congruence(c, n) for c in by_order]
+    if label == CONJECTURE_LABEL:
+        for r in results:
+            r.status = CONJECTURE_LABEL
     params = {"n_limit": n}
     if any(c.alpha for c in claims):
         params["alpha_limit"] = a_limit
-    if k_values is not None:
-        params["k_values"] = list(k_values)
     return SuiteReport(name, label, params, sorted(results, key=lambda r: r.name))

@@ -55,12 +55,12 @@ def interleave(parts: list[TruncatedSeries]) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class IdentityClaim:
-    """lhs (family or f-sum), optionally dissected, equals rhs (f-sum),
-    exactly or mod `modulus`."""
+    """lhs, optionally dissected, equals rhs, exactly or mod `modulus`; both
+    sides are sums of f-monomials."""
 
     name: str
-    lhs: etaq.FQuotientSum | etaq.Family
-    rhs: etaq.FQuotientSum
+    lhs: tuple[etaq.FMonomial, ...]
+    rhs: tuple[etaq.FMonomial, ...]
     lhs_progression: tuple[int, int] | None = None
     modulus: int | None = None
 
@@ -73,26 +73,18 @@ class IdentityClaim:
             raise ValueError("modulus must be >= 2")
 
 
-def _expand_lhs(claim: IdentityClaim, n: int) -> TruncatedSeries:
-    if isinstance(claim.lhs, etaq.Family):
-        base = etaq.expand_monomial(etaq.family_monomial(claim.lhs), n)
-    else:
-        base = etaq.expand_sum(claim.lhs, n)
-    return base
-
-
 def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:
     """Expand both sides to order n (the left side far enough that the
     extracted progression still carries n coefficients) and compare."""
     if n < 1:
         raise ValueError("order must be >= 1")
     if claim.lhs_progression is None:
-        lhs = _expand_lhs(claim, n)
+        lhs = etaq.expand_sum(claim.lhs, n)
         lhs_order = n
     else:
         m, j = claim.lhs_progression
         lhs_order = m * n + j
-        lhs = extract_progression(_expand_lhs(claim, lhs_order), m, j)
+        lhs = extract_progression(etaq.expand_sum(claim.lhs, lhs_order), m, j)
     rhs = etaq.expand_sum(claim.rhs, n)
     mismatch = first_difference(lhs, rhs, n, modulus=claim.modulus)
     return VerificationResult(
@@ -116,15 +108,17 @@ def verify_catalog(claims: Iterable[IdentityClaim], n: int) -> list[Verification
 # JSON catalog format
 
 
-def _sum_from_list(items: list) -> etaq.FQuotientSum:
-    return etaq.FQuotientSum.make(etaq.FMonomial.from_dict(t) for t in items)
+def _sum_from_list(items: list) -> tuple[etaq.FMonomial, ...]:
+    return tuple(etaq.FMonomial.from_dict(t) for t in items)
 
 
 def claim_from_dict(d: dict) -> IdentityClaim:
+    """Parse one catalog entry; a {"family": ...} left side becomes the
+    one-term sum of that family's monomial."""
     lhs_spec = d["lhs"]
     if "family" in lhs_spec:
         f = lhs_spec["family"]
-        lhs: etaq.FQuotientSum | etaq.Family = etaq.Family(f["name"], f.get("k", 1))
+        lhs = (etaq.family_monomial(etaq.Family(f["name"], f.get("k", 1))),)
     else:
         lhs = _sum_from_list(lhs_spec["sum"])
     prog = d.get("lhs_progression")

@@ -109,12 +109,6 @@ class FMonomial:
         """Parse the catalog form {"coefficient", "qpower", "factors": {delta: r}}."""
         return cls.make(d.get("coefficient", 1), d.get("qpower", 0), d.get("factors", {}))
 
-    def factor_map(self) -> dict[int, int]:
-        return dict(self.factors)
-
-    def scaled(self, c: int) -> "FMonomial":
-        return FMonomial(self.coefficient * c, self.qpower, self.factors)
-
     def __repr__(self):
         parts = []
         if self.coefficient != 1 or not (self.factors or self.qpower):
@@ -123,17 +117,6 @@ class FMonomial:
             parts.append(f"q^{self.qpower}")
         parts.extend(f"f{d}^{r}" if r != 1 else f"f{d}" for d, r in self.factors)
         return "*".join(parts) if parts else "1"
-
-
-@dataclass(frozen=True)
-class FQuotientSum:
-    """Formal sum of FMonomial terms; an empty sum is zero."""
-
-    terms: tuple[FMonomial, ...] = ()
-
-    @classmethod
-    def make(cls, terms: Iterable[FMonomial]) -> "FQuotientSum":
-        return cls(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +323,11 @@ def expand_monomial(m: FMonomial, n: int) -> TruncatedSeries:
     return TruncatedSeries.make(m.qpower, coeffs, n)
 
 
-def expand_sum(s: FQuotientSum, n: int) -> TruncatedSeries:
-    total = zero(n)
-    for term in s.terms:
-        total = total + expand_monomial(term, n)
-    return total
+def expand_sum(terms: Iterable[FMonomial], n: int) -> TruncatedSeries:
+    """Exact expansion of a sum of monomials below exponent n; an empty sum
+    is zero and a one-term sum is that term's expansion."""
+    series = (expand_monomial(t, n) for t in terms)
+    return sum(series, next(series, zero(n)))
 
 
 def expand_monomial_mod(m: FMonomial, n: int, modulus: int) -> TruncatedSeries:
@@ -425,27 +408,6 @@ def _clip(s: TruncatedSeries, n: int) -> TruncatedSeries:
 
 
 @dataclass(frozen=True)
-class EtaQuotient:
-    """prod eta(delta*tau)^r_delta, kept symbolic; only the exponent
-    arithmetic of the lacunarity criterion ever touches it."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def make(cls, factors: Mapping[int, int] | Iterable[tuple[int, int]]) -> "EtaQuotient":
-        return cls(FMonomial.make(factors=factors).factors)
-
-    @property
-    def weight_times_2(self) -> int:
-        return sum(r for _, r in self.factors)
-
-    @property
-    def d_g(self) -> int:
-        """gcd of the numerator deltas (0 without a numerator)."""
-        return gcd(*(d for d, r in self.factors if r > 0))
-
-
-@dataclass(frozen=True)
 class CriterionReport:
     prime: int
     max_power_exponent: int
@@ -454,21 +416,23 @@ class CriterionReport:
     lacunary: bool
 
 
-def cotron_check(g: EtaQuotient, p: int) -> CriterionReport:
-    """Divisibility criterion for lacunarity mod powers of p.
+def cotron_check(g: FMonomial, p: int) -> CriterionReport:
+    """Divisibility criterion for lacunarity mod powers of p, applied to the
+    eta quotient prod eta(delta*tau)^r_delta of g's factors; g's coefficient
+    and q-power play no part.
 
-    Finds the largest a with p^a dividing the gcd of the numerator dilations
-    and compares p^(2a) against (sum gamma_i s_i) / (sum r_i / delta_i) in
-    exact rational arithmetic.  Verdict is lacunary when the inequality
-    holds, inconclusive otherwise."""
-    if g.weight_times_2 % 2:
+    The weight is sum(r) / 2.  Finds the largest a with p^a dividing d_g,
+    the gcd of the numerator deltas, and compares p^(2a) against
+    (sum gamma_i s_i) / (sum r_i / delta_i) in exact rational arithmetic.
+    Verdict is lacunary when the inequality holds, inconclusive otherwise."""
+    if sum(r for _, r in g.factors) % 2:
         raise NonIntegerWeight("criterion requires integer weight")
     numer = [(d, r) for d, r in g.factors if r > 0]
     denom = [(d, -r) for d, r in g.factors if r < 0]
     if not numer:
         raise ValueError("criterion needs at least one positive eta exponent")
     a = 0
-    d = g.d_g
+    d = gcd(*(delta for delta, _ in numer))
     while d % p == 0:
         a += 1
         d //= p
@@ -519,7 +483,3 @@ def family_monomial(family: Family) -> FMonomial:
         int(d): _scaled_exponent(r, family.k) for d, r in entry["factors"].items()
     }
     return FMonomial.make(qpower=int(entry.get("qpower", 0)), factors=factors)
-
-
-def family_eta(family: Family) -> EtaQuotient:
-    return EtaQuotient.make(family_monomial(family).factor_map())

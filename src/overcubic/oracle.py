@@ -7,8 +7,6 @@ integer convolution of enumerated tables.  Keep it that way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapExceeded
 
 DEFAULT_CAP = 40
@@ -112,32 +110,27 @@ def count_opt_ktuple(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
     return _convolve_tables(base, k)[n]
 
 
-@dataclass(frozen=True)
-class PartCounter:
-    """Enumeration request for one family; used by the CLI audit output."""
+def count(family: str, n: int, k: int = 1, cap: int = DEFAULT_CAP) -> int:
+    """Enumerated count of n for one named family; k is the tuple length of
+    the parameterized families and is ignored by the others."""
+    if family == "partition":
+        return count_partitions(n, cap)
+    if family == "cubic":
+        return count_cubic(n, cap)
+    if family == "overcubic":
+        return count_overcubic(n, cap)
+    if family == "overcubic-pair":
+        return count_ktuple(n, 2, cap)
+    if family == "overcubic-triple":
+        return count_ktuple(n, 3, cap)
+    if family == "overcubic-ktuple":
+        return count_ktuple(n, k, cap)
+    if family == "opt-ktuple":
+        return count_opt_ktuple(n, k, cap)
+    raise ValueError(f"no enumeration for family {family!r}")
 
-    family: str
-    k: int = 1
-    cap: int = DEFAULT_CAP
 
-    def count(self, n: int) -> int:
-        name = self.family
-        if name == "partition":
-            return count_partitions(n, self.cap)
-        if name == "cubic":
-            return count_cubic(n, self.cap)
-        if name == "overcubic":
-            return count_overcubic(n, self.cap)
-        if name == "overcubic-pair":
-            return count_ktuple(n, 2, self.cap)
-        if name == "overcubic-triple":
-            return count_ktuple(n, 3, self.cap)
-        if name == "overcubic-ktuple":
-            return count_ktuple(n, self.k, self.cap)
-        if name == "opt-ktuple":
-            return count_opt_ktuple(n, self.k, self.cap)
-        raise ValueError(f"no enumeration for family {name!r}")
-
-    def table(self, n_max: int) -> list[int]:
-        _check_cap(n_max, self.cap)
-        return [self.count(n) for n in range(n_max + 1)]
+def table(family: str, n_max: int, k: int = 1, cap: int = DEFAULT_CAP) -> list[int]:
+    """Counts for n = 0..n_max; n_max is checked against the cap first."""
+    _check_cap(n_max, cap)
+    return [count(family, n, k, cap) for n in range(n_max + 1)]

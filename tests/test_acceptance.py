@@ -78,7 +78,7 @@ def test_c3_conjecture_evidence_is_labeled():
 
 
 def test_c4_odd_tuple_progressions():
-    report = cg.theorem_suite("5", n_limit=500, k_values=(0, 1, 2, 3))
+    report = cg.theorem_suite("5", n_limit=500)
     assert report.passed and len(report.results) == 28
 
 
@@ -101,7 +101,7 @@ def test_c5_exact_difference_reduces_to_zero():
 
 
 def test_c6_nonresidue_progressions():
-    report = cg.theorem_suite("mod4-progressions", n_limit=500, k_values=(0, 1))
+    report = cg.theorem_suite("mod4-progressions", n_limit=500)
     assert report.passed
     assert len(report.results) == 22  # (1+2+3+5) nonresidues, two tuple sizes
     assert {r.claim["m"] for r in report.results} == {6, 10, 14, 22}
@@ -164,9 +164,8 @@ def test_c8_any_single_bit_flip_is_rejected(certificate):
      ("opt-ktuple", 1), ("opt-ktuple", 2)],
 )
 def test_c9_series_equals_enumeration(family, k):
-    counter = oracle.PartCounter(family, k)
     series = etaq.expand_monomial(etaq.family_monomial(etaq.Family(family, k)), 26)
-    assert series.window(0, 26) == counter.table(25)
+    assert series.window(0, 26) == oracle.table(family, 25, k)
 
 
 def test_c9_anchored_spot_values():
@@ -198,7 +197,7 @@ def test_c10_density_trend_is_monotone():
 
 
 def test_c10_divisibility_criterion_report():
-    rep = etaq.cotron_check(etaq.family_eta(etaq.Family("overcubic-ktuple", 3)), 2)
+    rep = etaq.cotron_check(etaq.family_monomial(etaq.Family("overcubic-ktuple", 3)), 2)
     assert rep.max_power_exponent == 2
     assert rep.prime_power == 4
     assert rep.bound_squared == Fraction(16)

@@ -259,6 +259,17 @@ BAD_INPUTS = {
         ["scan", "--family", "partition", "--max-m", "2", "--moduli", "5", "--order", "100000"],
         None,
     ),
+    # vacuous inputs: nothing would be checked, so nothing may pass
+    "suite-2-negative-alpha-limit": (["paper-suite", "--theorem", "2", "--alpha-limit", "-1"], None),
+    "conjecture-1-negative-alpha-limit": (
+        ["paper-suite", "--theorem", "conjecture-1", "--alpha-limit", "-1"], None
+    ),
+    "conjecture-2-negative-alpha-limit": (
+        ["paper-suite", "--theorem", "conjecture-2", "--alpha-limit", "-1"], None
+    ),
+    "scan-no-moduli": (
+        ["scan", "--family", "partition", "--max-m", "5", "--moduli", ",", "--n-min", "150"], None
+    ),
 }
 
 
@@ -277,6 +288,32 @@ def test_bad_input_exits_two_with_a_message(tmp_path, capsys, case):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+# subcommand argv without one required flag, and that flag
+MISSING_REQUIRED_FLAG = [
+    (["expand", "--family", "overcubic-triple"], "--order"),
+    (["verify", "--family", "overcubic-triple", "--progression", "8,7", "--mod", "64"],
+     "--n-limit"),
+    (["scan", "--family", "partition", "--max-m", "5"], "--moduli"),
+    (["dissect", "--family", "overcubic-triple", "--m", "2", "--order", "10"], "--j"),
+    (["identity", "--order", "10"], "--catalog"),
+    (["density", "--family", "overcubic-triple"], "--mod"),
+    (["oracle", "--max-n", "3"], "--family"),
+    (["paper-suite"], "--theorem"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag", MISSING_REQUIRED_FLAG, ids=[argv[0] for argv, _ in MISSING_REQUIRED_FLAG]
+)
+def test_missing_required_flag_exits_two(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the following arguments are required: " + flag in captured.err
 
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from overcubic import congruence as cg
+from overcubic import congruence as cg, etaq
 from overcubic.errors import InsufficientPrecision
 from overcubic.etaq import Family, family_monomial, residue_array
 
@@ -154,8 +154,8 @@ def test_theorem1_suite_small():
 
 
 def test_theorem5_suite_small():
-    report = cg.theorem_suite("5", n_limit=40, k_values=(0, 1))
-    assert len(report.results) == 14 and report.passed
+    report = cg.theorem_suite("5", n_limit=40)  # k runs over 0..3
+    assert len(report.results) == 28 and report.passed
 
 
 def test_tuple_vs_single_suite():
@@ -168,6 +168,17 @@ def test_conjecture_suites_are_labeled():
     assert report.label == cg.CONJECTURE_LABEL
     assert all(r.claim["status"] == "conjectured" for r in report.results)
     assert report.passed
+
+
+def test_suite_checks_its_largest_order_before_building(monkeypatch):
+    # alpha 12 needs order ~59M, above the ceiling; checked largest first,
+    # the suite fails before it builds any residue array
+    def no_build(*args):
+        raise AssertionError("a residue array was built")
+
+    monkeypatch.setattr(etaq, "_expand_factors_residue", no_build)
+    with pytest.raises(InsufficientPrecision):
+        cg.theorem_suite("conjecture-2", alpha_limit=12)
 
 
 def test_unknown_suite_rejected():

@@ -13,7 +13,7 @@ from overcubic.dissect import (
     verify_identity,
 )
 from overcubic.errors import NegativeValuation
-from overcubic.etaq import Family, FQuotientSum, expand_monomial, family_monomial
+from overcubic.etaq import Family, FMonomial, expand_monomial, family_monomial
 from overcubic.series import equal_to_order, inv, reduce_mod
 
 TRIPLE = family_monomial(Family("overcubic-triple"))
@@ -102,9 +102,8 @@ def test_catalog_congruence_identities_pass():
 
 def test_corrupted_identity_reports_first_mismatch():
     good = load_identity_catalog("identities/lemma_dissections.json")[0]
-    flipped = FQuotientSum.make(
-        [good.rhs.terms[0], good.rhs.terms[1].scaled(-1)]
-    )
+    second = good.rhs[1]
+    flipped = (good.rhs[0], FMonomial(-second.coefficient, second.qpower, second.factors))
     bad = IdentityClaim(name="corrupted", lhs=good.lhs, rhs=flipped)
     result = verify_identity(bad, 100)
     assert not result.passed
@@ -128,7 +127,7 @@ def test_claim_from_dict_roundtrip():
             "rhs": {"sum": [{"factors": {"2": 3, "4": 15, "1": -18, "8": -6}}]},
         }
     )
-    assert claim.lhs == Family("overcubic-triple")
+    assert claim.lhs == (family_monomial(Family("overcubic-triple")),)
     assert claim.lhs_progression == (2, 0)
     assert verify_identity(claim, 150).passed
 

@@ -9,16 +9,13 @@ from overcubic import oracle
 from overcubic.errors import NonIntegerWeight, UnsupportedModulus
 from overcubic.etaq import (
     CriterionReport,
-    EtaQuotient,
     Family,
     FMonomial,
-    FQuotientSum,
     cotron_check,
     expand_f,
     expand_monomial,
     expand_monomial_mod,
     expand_sum,
-    family_eta,
     family_monomial,
     phi,
     psi,
@@ -72,16 +69,14 @@ def test_expand_monomial_laurent_prefactor():
 
 
 def test_expand_sum_four_term_identity():
-    rhs = FQuotientSum.make(
-        [
-            FMonomial.make(factors={4: 3, 8: 15, 2: -18, 16: -6}),
-            FMonomial.make(6, 1, {4: 5, 8: 9, 2: -18, 16: -2}),
-            FMonomial.make(12, 2, {4: 7, 8: 3, 16: 2, 2: -18}),
-            FMonomial.make(8, 3, {4: 9, 16: 6, 2: -18, 8: -3}),
-        ]
+    rhs = (
+        FMonomial.make(factors={4: 3, 8: 15, 2: -18, 16: -6}),
+        FMonomial.make(6, 1, {4: 5, 8: 9, 2: -18, 16: -2}),
+        FMonomial.make(12, 2, {4: 7, 8: 3, 16: 2, 2: -18}),
+        FMonomial.make(8, 3, {4: 9, 16: 6, 2: -18, 8: -3}),
     )
     assert equal_to_order(expand_sum(rhs, 50), expand_monomial(TRIPLE, 50), 50)
-    assert expand_sum(FQuotientSum(), 10).is_zero()
+    assert expand_sum((), 10).is_zero()
 
 
 @pytest.mark.parametrize("name,k", [("overcubic", 1), ("overcubic-pair", 1),
@@ -168,27 +163,29 @@ def test_sellers_product_matches_families():
 
 def test_cotron_on_ktuple_families():
     for ell in (1, 2, 3, 7):
-        rep = cotron_check(EtaQuotient.make({4: ell, 1: -2 * ell, 2: -ell}), 2)
+        rep = cotron_check(FMonomial.make(factors={4: ell, 1: -2 * ell, 2: -ell}), 2)
         assert rep == CriterionReport(2, 2, 4, Fraction(16), True)
 
 
 def test_cotron_rejects_half_integer_weight():
     with pytest.raises(NonIntegerWeight):
-        cotron_check(EtaQuotient.make({1: -1}), 2)
+        cotron_check(FMonomial.make(factors={1: -1}), 2)
 
 
 def test_cotron_on_odd_overpartition_tuples():
     for k in (1, 2, 5):
-        rep = cotron_check(family_eta(Family("opt-ktuple", 2 * k)), 2)
+        rep = cotron_check(family_monomial(Family("opt-ktuple", 2 * k)), 2)
         assert rep.max_power_exponent == 1
         assert rep.bound_squared == Fraction(4)
         assert rep.lacunary
 
 
 def test_eta_quotient_fields():
-    eta = family_eta(Family("overcubic-ktuple", 3))
-    assert eta.weight_times_2 == -6
-    assert eta.d_g == 4
+    g = family_monomial(Family("overcubic-ktuple", 3))
+    assert sum(r for _, r in g.factors) == -6  # twice the weight
+    # d_g = gcd of the numerator deltas = 4 = 2^2, and 3 does not divide it
+    assert cotron_check(g, 2).max_power_exponent == 2
+    assert cotron_check(g, 3).max_power_exponent == 0
 
 
 # -- binomial congruence between Euler-product powers -----------------------------

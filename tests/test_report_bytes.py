@@ -42,6 +42,24 @@ REPORTS = [
      "49ba8d2261554f9dfd0653887a3d4170c69d4af46191cd0c87135495eed59b33"),
     ("paper-suite --theorem 9 --order 300 --format csv", 0,
      "823b9f2b0e05ced1f4002e635edb3c8ad4286aace3d1425ee80faafe77d8fe7a"),
+    # the rows below were recorded before the pass-through layers went:
+    # the conjecture label is set in theorem_suite, not in the CLI
+    ("paper-suite --theorem conjecture-1 --n-limit 20 --alpha-limit 2", 0,
+     "cbde8491dd74c6110896bb926359ba6179bef5ac8b4623804ebfe5b1cd084dae"),
+    # the tuple lengths and primes of these suites are constants
+    ("paper-suite --theorem 5 --n-limit 20", 0,
+     "4696b731effb3bb32520031aea6a1af51853474375c90780604e58ee73ef271d"),
+    ("paper-suite --theorem mod4-progressions --n-limit 20", 0,
+     "d91a4698fd62730251c0cc54565c24acece34980dc3c1370d55fc05606282472"),
+    # cotron_check reads an FMonomial
+    ("paper-suite --theorem lacunary", 0,
+     "d91a49e41975375832a3b92cd760e08b90675a2f993a2f8c4f210e90c5bfba55"),
+    # a family left side is a one-term sum
+    ("identity --catalog identities/congruence_identities.json --order 200", 0,
+     "2dae0f26dac31d8b2251ebcbefd7959d8f50dc9ffbbb96b54acdceaa0374919a"),
+    # oracle.table in place of the counter object
+    ("oracle --family overcubic-ktuple --k 3 --max-n 10 --format csv", 0,
+     "8ccd377c4c8c3ad67a72bd91a68cb3263b64ca040bc8f39ca35e98867b62e7d0"),
 ]
 
 
