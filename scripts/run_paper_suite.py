@@ -10,7 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from overcubic.cli import PAPER_SUITES, main as cli_main
+from overcubic.cli import main as cli_main
+from overcubic.congruence import SUITES
 
 QUICK = {
     "1": ["--n-limit", "50"],
@@ -34,7 +35,7 @@ def main() -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     worst = 0
-    for suite in PAPER_SUITES:
+    for suite in SUITES:
         target = args.out / f"suite_{suite}.json"
         argv = ["paper-suite", "--theorem", suite, "--output", str(target)]
         if args.quick:

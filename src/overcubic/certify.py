@@ -3,9 +3,9 @@
 A certificate asserts that a prefactor times the dissected generating
 function equals a polynomial in an explicit Hauptmodul t, as an exact
 Laurent-series identity, and that the polynomial's coefficients share a
-common factor.  Checking the identity plus the divisibility re-proves the
-underlying congruence for every order checked; producing certificates is
-out of scope here.
+common factor.  The check confirms the identity and the divisibility
+below order n, which is evidence for the underlying congruence, not a
+proof of it; producing certificates is out of scope here.
 """
 from __future__ import annotations
 
@@ -67,6 +67,13 @@ def _poly_eval(poly: tuple[int, ...], deg: int, t: TruncatedSeries) -> Truncated
     return acc
 
 
+def base_order(cert: RaduCertificate, n: int) -> int:
+    """Order of the base expansion whose dissected parts reach n past the prefactor's pole."""
+    if n < 50:
+        raise InsufficientPrecision("certificate checks below order 50 are vacuous")
+    return cert.m * (n + max(0, -cert.prefactor.qpower)) + max(cert.orbit)
+
+
 def verify_certificate(cert: RaduCertificate, n: int) -> VerificationResult:
     """Expand both sides to order n and compare exactly, then check that the
     claimed common factor divides every left-side coefficient below n.
@@ -78,8 +85,7 @@ def verify_certificate(cert: RaduCertificate, n: int) -> VerificationResult:
         raise UnsupportedBasis(
             f"only the singleton basis ('1',) is supported, got {cert.basis!r}"
         )
-    if n < 50:
-        raise InsufficientPrecision("certificate checks below order 50 are vacuous")
+    base_n = base_order(cert, n)
     if not cert.factor_divides_polynomial():
         return VerificationResult(
             name=cert.name,
@@ -90,15 +96,10 @@ def verify_certificate(cert: RaduCertificate, n: int) -> VerificationResult:
             ),
         )
 
-    v_pre = cert.prefactor.qpower
-    v_t = cert.hauptmodul.qpower
     deg = cert.polynomial_degree()
+    t_order = n + max(0, -cert.hauptmodul.qpower) * max(deg - 1, 0)
 
-    diss_order = n + max(0, -v_pre)
-    base_order = cert.m * diss_order + max(cert.orbit)
-    t_order = n + max(0, -v_t) * max(deg - 1, 0)
-
-    base = etaq.expand_monomial(cert.base, base_order)
+    base = etaq.expand_monomial(cert.base, base_n)
     lhs = etaq.expand_monomial(cert.prefactor, n)
     for j in cert.orbit:
         lhs = mul(lhs, extract_progression(base, cert.m, j))
@@ -134,7 +135,7 @@ def verify_certificate(cert: RaduCertificate, n: int) -> VerificationResult:
             "claimed_common_factor": cert.claimed_common_factor,
             "coefficient_gcd": g,
         },
-        orders={"base": base_order, "prefactor": n, "hauptmodul": t_order},
+        orders={"base": base_n, "prefactor": n, "hauptmodul": t_order},
     )
 
 

@@ -15,11 +15,8 @@ from pathlib import Path
 
 from . import __version__, catalogs, certify, congruence, density, dissect, etaq, oracle
 from .errors import QSeriesError
-from .reporting import CONGRUENCE_COLUMNS, VerificationResult, to_csv, to_json
+from .reporting import CONGRUENCE_COLUMNS, to_csv, to_json
 from .series import reduce_mod
-
-# every entry of paper-suite, in --theorem all order
-PAPER_SUITES = congruence.SUITE_NAMES + ("lacunary", "dissections", "certificate")
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -39,8 +36,6 @@ def _parse_factors(text: str) -> dict[int, int]:
 def _monomial_from_args(args) -> etaq.FMonomial:
     if args.family is not None:
         return etaq.family_monomial(etaq.Family(args.family, args.k))
-    if args.factors is None:
-        raise ValueError("one of --family or --factors is required")
     return etaq.FMonomial.make(
         coefficient=args.coefficient, qpower=args.qpower, factors=_parse_factors(args.factors)
     )
@@ -95,13 +90,11 @@ def cmd_coeffs(args) -> int:
     mon = _monomial_from_args(args)
     if args.indices is not None:
         indices = _parse_ints(args.indices)
-    elif args.progression is not None:
+    else:
         m, j = _parse_ints(args.progression)
         if m < 1:  # a negative j fails the index check below
             raise ValueError("--progression m,j needs m >= 1")
         indices = [m * n + j for n in range(args.n_limit + 1)]
-    else:
-        raise ValueError("one of --indices or --progression is required")
     if not indices or min(indices) < 0:
         raise ValueError("indices must be nonnegative")
     order = max(indices) + 1
@@ -242,97 +235,16 @@ def cmd_oracle(args) -> int:
     )
 
 
-def _lacunary_results(x_grid: list[int], k_range, modulus_exponents) -> list:
-    results = []
-    for k in k_range:
-        rep = etaq.cotron_check(etaq.family_monomial(etaq.Family("overcubic-ktuple", k)), 2)
-        results.append(
-            VerificationResult(
-                name=f"divisibility-criterion k={k}",
-                passed=rep.lacunary and rep.max_power_exponent == 2 and rep.bound_squared == 16,
-                status="proved-in-paper",
-                claim={
-                    "prime": rep.prime,
-                    "a": rep.max_power_exponent,
-                    "bound_squared": str(rep.bound_squared),
-                    "lacunary": rep.lacunary,
-                },
-            )
-        )
-    fam = etaq.Family("overcubic-triple")
-    for e in modulus_exponents:
-        rep = density.compute_density(fam, 1 << e, 0, x_grid)
-        deltas = [row[2] for row in rep.rows]
-        ok = all(a <= b for a, b in zip(deltas, deltas[1:]))
-        results.append(
-            VerificationResult(
-                name=f"density-trend mod 2^{e}",
-                passed=ok,
-                status="trend check (the limit itself is not desk-reproducible)",
-                claim={"deltas": [str(d) for d in deltas], "x_grid": x_grid},
-            )
-        )
-    for k in (0, 1):
-        ok = density.exception_structure_check(k, x_grid[-1])
-        results.append(
-            VerificationResult(
-                name=f"mod-4 exceptions are squares and twice-squares, k={k}",
-                passed=ok,
-                status="proved-in-paper",
-                claim={"k": k, "X": x_grid[-1]},
-            )
-        )
-    return results
-
-
-_IDENTITY_CATALOGS = (
-    "identities/lemma_dissections.json",
-    "identities/congruence_identities.json",
-    "identities/theta_dissections.json",
-)
-
-
-def _run_suite(name: str, args) -> tuple[list, dict]:
-    """Results plus echoed parameters for one paper-suite entry."""
-    if name in congruence.SUITE_NAMES:
-        report = congruence.theorem_suite(
-            name,
-            n_limit=args.n_limit,
-            alpha_limit=args.alpha_limit,
-            order=args.order if name == "9" else None,
-        )
-        return report.results, {name: report.parameters | {"label": report.label}}
-    if name == "dissections":
-        order = args.order if args.order is not None else 2000
-        results = []
-        for ref in _IDENTITY_CATALOGS:
-            results.extend(dissect.verify_catalog(dissect.load_identity_catalog(ref), order))
-        return results, {name: {"order": order, "catalogs": list(_IDENTITY_CATALOGS)}}
-    if name == "certificate":
-        order = args.order if args.order is not None else 300
-        cert = certify.load_certificate("certs/bt_8n7.json")
-        return [certify.verify_certificate(cert, order)], {name: {"order": order}}
-    # lacunary; argparse choices reject any other name
-    results = _lacunary_results([100, 1000, 10000], range(1, 5), (3, 4, 5, 6))
-    return results, {name: {"x_grid": [100, 1000, 10000]}}
-
-
 def cmd_paper_suite(args) -> int:
-    names = PAPER_SUITES if args.theorem == "all" else (args.theorem,)
-    all_results = []
-    parameters = {}
-    for name in names:
-        results, params = _run_suite(name, args)
-        all_results.extend(results)
-        parameters.update(params)
-    all_results.sort(key=lambda r: r.name)
-    rows = [r.to_record() for r in all_results]
+    names = congruence.SUITES if args.theorem == "all" else (args.theorem,)
+    parameters, results = congruence.run_suites(names, args.n_limit, args.alpha_limit, args.order)
+    rows = [r.to_record() for r in results]
     return _report(
         args,
         "paper-suite",
         {"theorem": args.theorem, "suites": parameters},
         {"records": rows},
-        all(r.passed for r in all_results),
+        all(r.passed for r in results),
         to_csv(rows, CONGRUENCE_COLUMNS + ("passed",)),
     )
 
@@ -348,9 +260,10 @@ def _add_output_options(p):
 
 
 def _add_monomial_options(p):
-    p.add_argument("--family", choices=sorted(catalogs.family_table()), default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=sorted(catalogs.family_table()))
+    source.add_argument("--factors", help="explicit f-product, e.g. '4:3,1:-6,2:-3'")
     p.add_argument("--k", type=int, default=1, help="tuple length for parameterized families")
-    p.add_argument("--factors", help="explicit f-product, e.g. '4:3,1:-6,2:-3'")
     p.add_argument("--qpower", type=int, default=0)
     p.add_argument("--coefficient", type=int, default=1)
 
@@ -372,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="specific coefficients, exact unless --mod is given")
     _add_monomial_options(p)
-    p.add_argument("--indices", help="comma-separated exponents")
-    p.add_argument("--progression", help="m,j: report indices m*n+j for n <= n-limit")
+    indices = p.add_mutually_exclusive_group(required=True)
+    indices.add_argument("--indices", help="comma-separated exponents")
+    indices.add_argument("--progression", help="m,j: report indices m*n+j for n <= n-limit")
     p.add_argument("--n-limit", type=int, default=20)
     p.add_argument("--mod", type=int, default=None)
     _add_output_options(p)
@@ -439,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("paper-suite", help="run a named verification suite")
-    p.add_argument("--theorem", choices=PAPER_SUITES + ("all",), required=True)
+    p.add_argument("--theorem", choices=(*congruence.SUITES, "all"), required=True)
     p.add_argument("--n-limit", type=int, default=None)
     p.add_argument("--alpha-limit", type=int, default=None)
     p.add_argument("--order", type=int, default=None)

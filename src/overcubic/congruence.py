@@ -1,4 +1,5 @@
-"""Verification and discovery of Ramanujan-type congruences.
+"""Verification and discovery of Ramanujan-type congruences, and the
+table of paper suites.
 
 A claim states that every coefficient a(2^alpha (m n + j)) of a family's
 generating function is divisible by the modulus.  Checks run on the
@@ -7,11 +8,12 @@ residue expansion mod the claim's modulus (etaq.residue_array).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import etaq
-from .reporting import SuiteReport, VerificationResult
+from . import certify, density, dissect, etaq
+from .reporting import VerificationResult
 
 STATUSES = ("proved-in-paper", "conjectured", "discovered")
 
@@ -69,14 +71,17 @@ class CongruenceClaim:
 
 
 def required_order(claim: CongruenceClaim, n_limit: int) -> int:
+    if n_limit < 0:
+        raise ValueError("n_limit must be >= 0")
     return ((claim.m * n_limit + claim.j) << claim.alpha) + 1
 
 
-def verify_congruence(claim: CongruenceClaim, n_limit: int) -> VerificationResult:
+def verify_congruence(
+    claim: CongruenceClaim, n_limit: int, label: str | None = None
+) -> VerificationResult:
     """Check the claim at every n in [0, n_limit]; reports the first
-    violating n on failure."""
-    if n_limit < 0:
-        raise ValueError("n_limit must be >= 0")
+    violating n on failure.  The result's status is `label`, by default the
+    claim's status."""
     order = required_order(claim, n_limit)
     arr = etaq.residue_array(etaq.family_monomial(claim.family), order, claim.modulus)
     indices = (claim.m * np.arange(n_limit + 1, dtype=np.int64) + claim.j) << claim.alpha
@@ -87,7 +92,7 @@ def verify_congruence(claim: CongruenceClaim, n_limit: int) -> VerificationResul
         passed=first is None,
         first_violation=first,
         n_checked=n_limit,
-        status=claim.status,
+        status=label or claim.status,
         claim=claim.to_dict(),
         orders={"expansion": order},
     )
@@ -181,10 +186,6 @@ def scan(cfg: ScanConfig) -> list[CongruenceClaim]:
 # named suites
 
 
-def _triple() -> etaq.Family:
-    return etaq.Family("overcubic-triple")
-
-
 THEOREM_1_TABLE = (
     (4, 3, 4),
     (8, 5, 32),
@@ -198,8 +199,6 @@ THEOREM_1_TABLE = (
     (32, 28, 64),
 )
 
-THEOREM_3_TABLE = ((72, 21, 128), (72, 69, 384))
-
 THEOREM_5_TABLE = (
     (8, 1, 2),
     (8, 2, 2),
@@ -209,49 +208,19 @@ THEOREM_5_TABLE = (
     (8, 6, 4),
     (8, 7, 16),
 )
+# suite 5 runs its table on the (2k+1)-tuples for k = 0..3
+_TUPLES = tuple(("overcubic-ktuple", 2 * k + 1) for k in range(4))
 
 
-def _dilated(table, alpha_limit: int, status: str) -> list[CongruenceClaim]:
+def _claims(table, alpha_limit=0, status=PROVED, families=(("overcubic-triple", 1),)):
+    """Claims 2^a(m n + j) mod M of each (m, j, M) row, each family and each
+    a in [0, alpha_limit]."""
     return [
-        CongruenceClaim(_triple(), m=m, j=j, modulus=M, alpha=a, status=status)
+        CongruenceClaim(etaq.Family(*f), m=m, j=j, modulus=M, alpha=a, status=status)
+        for f in families
         for (m, j, M) in table
         for a in range(alpha_limit + 1)
     ]
-
-
-def suite_claims(name: str, alpha_limit: int = 5) -> tuple[list[CongruenceClaim], str]:
-    """Claim list plus evidence label for one named suite."""
-    if name == "1":
-        return [
-            CongruenceClaim(_triple(), m=m, j=j, modulus=M) for (m, j, M) in THEOREM_1_TABLE
-        ], PROVED
-    if name == "2":
-        return _dilated(((4, 3, 4), (8, 5, 32)), alpha_limit, PROVED), PROVED
-    if name == "3":
-        return [
-            CongruenceClaim(_triple(), m=m, j=j, modulus=M) for (m, j, M) in THEOREM_3_TABLE
-        ], PROVED
-    if name == "conjecture-1":
-        return _dilated(((8, 7, 64),), alpha_limit, CONJECTURED), CONJECTURE_LABEL
-    if name == "conjecture-2":
-        claims = [
-            CongruenceClaim(_triple(), m=144, j=42, modulus=384, status=CONJECTURED)
-        ]
-        claims += _dilated(((72, 21, 128), (72, 69, 128)), alpha_limit, CONJECTURED)
-        return claims, CONJECTURE_LABEL
-    if name == "5":
-        return [
-            CongruenceClaim(etaq.Family("overcubic-ktuple", 2 * k + 1), m=m, j=j, modulus=M)
-            for k in (0, 1, 2, 3)
-            for (m, j, M) in THEOREM_5_TABLE
-        ], PROVED
-    if name == "mod4-progressions":
-        claims = []
-        for p in (3, 5, 7, 11):
-            for k in (0, 1):
-                claims.extend(nonresidue_progressions(p, k))
-        return claims, PROVED
-    raise ValueError(f"unknown claim suite {name!r}")
 
 
 def tuple_vs_single_mod4(k: int, order: int) -> VerificationResult:
@@ -274,55 +243,144 @@ def tuple_vs_single_mod4(k: int, order: int) -> VerificationResult:
     )
 
 
-# every named claim suite with its default n_limit; suite "9" compares whole
-# series, so its default is an expansion order instead
-_SUITE_DEFAULTS = {
-    "1": 1000,
-    "2": 200,
-    "3": 500,
-    "5": 500,
-    "9": 2000,
-    "mod4-progressions": 500,
-    "conjecture-1": 200,
-    "conjecture-2": 200,
+_LACUNARY_GRID = [100, 1000, 10000]
+
+
+def _lacunary_results() -> list:
+    results = []
+    for k in range(1, 5):
+        rep = etaq.cotron_check(etaq.family_monomial(etaq.Family("overcubic-ktuple", k)), 2)
+        results.append(
+            VerificationResult(
+                name=f"divisibility-criterion k={k}",
+                passed=rep.lacunary and rep.max_power_exponent == 2 and rep.bound_squared == 16,
+                status=PROVED,
+                claim={
+                    "prime": rep.prime,
+                    "a": rep.max_power_exponent,
+                    "bound_squared": str(rep.bound_squared),
+                    "lacunary": rep.lacunary,
+                },
+            )
+        )
+    for e in (3, 4, 5, 6):
+        rep = density.compute_density(etaq.Family("overcubic-triple"), 1 << e, 0, _LACUNARY_GRID)
+        deltas = [row[2] for row in rep.rows]
+        ok = all(a <= b for a, b in zip(deltas, deltas[1:]))
+        results.append(
+            VerificationResult(
+                name=f"density-trend mod 2^{e}",
+                passed=ok,
+                status="trend check (the limit itself is not desk-reproducible)",
+                claim={"deltas": [str(d) for d in deltas], "x_grid": _LACUNARY_GRID},
+            )
+        )
+    for k in (0, 1):
+        ok = density.exception_structure_check(k, _LACUNARY_GRID[-1])
+        results.append(
+            VerificationResult(
+                name=f"mod-4 exceptions are squares and twice-squares, k={k}",
+                passed=ok,
+                status=PROVED,
+                claim={"k": k, "X": _LACUNARY_GRID[-1]},
+            )
+        )
+    return results
+
+
+_IDENTITY_CATALOGS = (
+    "identities/lemma_dissections.json",
+    "identities/congruence_identities.json",
+    "identities/theta_dissections.json",
+)
+
+
+def _claim_suite(default_n: int, label: str, claims_of, n_limit, alpha_limit, order):
+    """claims_of maps the alpha bound to the claims; conjecture evidence
+    samples one dilation step deeper by default."""
+    n = default_n if n_limit is None else n_limit
+    a = (6 if label == CONJECTURE_LABEL else 5) if alpha_limit is None else alpha_limit
+    claims = claims_of(a)
+    params = {"n_limit": n, "label": label}
+    if any(c.alpha for c in claims):
+        params["alpha_limit"] = a
+    return params, [
+        (required_order(c, n), lambda c=c: [verify_congruence(c, n, label)]) for c in claims
+    ]
+
+
+def _suite_9(n_limit, alpha_limit, order):
+    n = 2000 if order is None else order
+    params = {"order": n, "k_values": [1, 2, 3], "label": PROVED}
+    return params, [(n, lambda: [tuple_vs_single_mod4(k, n) for k in (1, 2, 3)])]
+
+
+def _lacunary(n_limit, alpha_limit, order):
+    return {"x_grid": _LACUNARY_GRID}, [(_LACUNARY_GRID[-1] + 1, _lacunary_results)]
+
+
+def _dissections(n_limit, alpha_limit, order):
+    n = 2000 if order is None else order
+    claims = [c for ref in _IDENTITY_CATALOGS for c in dissect.load_identity_catalog(ref)]
+    return {"order": n, "catalogs": list(_IDENTITY_CATALOGS)}, [
+        (dissect.lhs_order(c, n), lambda c=c: [dissect.verify_identity(c, n)]) for c in claims
+    ]
+
+
+def _certificate(n_limit, alpha_limit, order):
+    n = 300 if order is None else order
+    cert = certify.load_certificate("certs/bt_8n7.json")
+    check = (certify.base_order(cert, n), lambda: [certify.verify_certificate(cert, n)])
+    return {"order": n}, [check]
+
+
+# Every paper-suite entry, in `--theorem all` order.  An entry maps
+# (n_limit, alpha_limit, order) to its echoed parameters and its checks; a
+# check is (the largest order it expands to, a function returning its
+# results).  Claim suites default n_limit; suites 9, dissections and
+# certificate default order; lacunary has no bound.
+SUITES = {
+    "1": partial(_claim_suite, 1000, PROVED, lambda a: _claims(THEOREM_1_TABLE)),
+    "2": partial(_claim_suite, 200, PROVED, lambda a: _claims(((4, 3, 4), (8, 5, 32)), a)),
+    "3": partial(_claim_suite, 500, PROVED, lambda a: _claims(((72, 21, 128), (72, 69, 384)))),
+    "5": partial(_claim_suite, 500, PROVED, lambda a: _claims(THEOREM_5_TABLE, families=_TUPLES)),
+    "9": _suite_9,
+    "mod4-progressions": partial(
+        _claim_suite,
+        500,
+        PROVED,
+        lambda a: [c for p in (3, 5, 7, 11) for k in (0, 1) for c in nonresidue_progressions(p, k)],
+    ),
+    "conjecture-1": partial(
+        _claim_suite, 200, CONJECTURE_LABEL, lambda a: _claims(((8, 7, 64),), a, CONJECTURED)
+    ),
+    "conjecture-2": partial(
+        _claim_suite,
+        200,
+        CONJECTURE_LABEL,
+        lambda a: _claims(((144, 42, 384),), 0, CONJECTURED)
+        + _claims(((72, 21, 128), (72, 69, 128)), a, CONJECTURED),
+    ),
+    "lacunary": _lacunary,
+    "dissections": _dissections,
+    "certificate": _certificate,
 }
-SUITE_NAMES = tuple(_SUITE_DEFAULTS)
 
 
-def theorem_suite(
-    name: str,
-    n_limit: int | None = None,
-    alpha_limit: int | None = None,
-    order: int | None = None,
-) -> SuiteReport:
-    """Run every claim of one named result.  Defaults match the shipped
-    acceptance settings; every result of a conjecture suite carries the
-    numerical-evidence label, and its sampled alpha bound is echoed in
-    parameters."""
-    if name not in _SUITE_DEFAULTS:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+def run_suites(
+    names, n_limit: int | None = None, alpha_limit: int | None = None, order: int | None = None
+) -> tuple[dict, list[VerificationResult]]:
+    """Echoed parameters per suite, and every result sorted by name, of the
+    named suites.  Their checks run in one etaq.largest_first pass, so each
+    expansion is built once per run; an unset bound takes each suite's
+    default."""
     if alpha_limit is not None and alpha_limit < 0:
         raise ValueError("alpha_limit must be >= 0")
-    if name == "9":
-        n = order if order is not None else _SUITE_DEFAULTS[name]
-        results = [tuple_vs_single_mod4(k, n) for k in (1, 2, 3)]
-        return SuiteReport(
-            "9", PROVED, {"order": n, "k_values": [1, 2, 3]}, sorted(results, key=lambda r: r.name)
-        )
-    n = n_limit if n_limit is not None else _SUITE_DEFAULTS[name]
-    # conjecture evidence samples one dilation step deeper by default; the
-    # sampled bound is echoed in the report parameters either way
-    default_alpha = 6 if name.startswith("conjecture") else 5
-    a_limit = alpha_limit if alpha_limit is not None else default_alpha
-    claims, label = suite_claims(name, alpha_limit=a_limit)
-    # largest order first, so each residue array is built once and every
-    # later claim reads a prefix of it
-    by_order = sorted(claims, key=lambda c: required_order(c, n), reverse=True)
-    results = [verify_congruence(c, n) for c in by_order]
-    if label == CONJECTURE_LABEL:
-        for r in results:
-            r.status = CONJECTURE_LABEL
-    params = {"n_limit": n}
-    if any(c.alpha for c in claims):
-        params["alpha_limit"] = a_limit
-    return SuiteReport(name, label, params, sorted(results, key=lambda r: r.name))
+    parameters, checks = {}, []
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+        parameters[name], suite_checks = SUITES[name](n_limit, alpha_limit, order)
+        checks += suite_checks
+    results = [r for found in etaq.largest_first(checks) for r in found]
+    return parameters, sorted(results, key=lambda r: r.name)

@@ -8,6 +8,7 @@ left side against a sum of f-monomials, exactly or modulo M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 from . import etaq
@@ -73,18 +74,23 @@ class IdentityClaim:
             raise ValueError("modulus must be >= 2")
 
 
-def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:
-    """Expand both sides to order n (the left side far enough that the
-    extracted progression still carries n coefficients) and compare."""
+def lhs_order(claim: IdentityClaim, n: int) -> int:
+    """Order of the left-side expansion, the largest of a check to order n:
+    far enough that the extracted progression still carries n coefficients."""
     if n < 1:
         raise ValueError("order must be >= 1")
     if claim.lhs_progression is None:
-        lhs = etaq.expand_sum(claim.lhs, n)
-        lhs_order = n
-    else:
-        m, j = claim.lhs_progression
-        lhs_order = m * n + j
-        lhs = extract_progression(etaq.expand_sum(claim.lhs, lhs_order), m, j)
+        return n
+    m, j = claim.lhs_progression
+    return m * n + j
+
+
+def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:
+    """Expand both sides to order n (the left side to lhs_order) and compare."""
+    lhs_n = lhs_order(claim, n)
+    lhs = etaq.expand_sum(claim.lhs, lhs_n)
+    if claim.lhs_progression is not None:
+        lhs = extract_progression(lhs, *claim.lhs_progression)
     rhs = etaq.expand_sum(claim.rhs, n)
     mismatch = first_difference(lhs, rhs, n, modulus=claim.modulus)
     return VerificationResult(
@@ -96,12 +102,13 @@ def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:
             "modulus": claim.modulus,
             "progression": list(claim.lhs_progression) if claim.lhs_progression else None,
         },
-        orders={"lhs": lhs_order, "rhs": n},
+        orders={"lhs": lhs_n, "rhs": n},
     )
 
 
 def verify_catalog(claims: Iterable[IdentityClaim], n: int) -> list[VerificationResult]:
-    return sorted((verify_identity(c, n) for c in claims), key=lambda r: r.name)
+    checks = [(lhs_order(c, n), partial(verify_identity, c, n)) for c in claims]
+    return sorted(etaq.largest_first(checks), key=lambda r: r.name)
 
 
 # ---------------------------------------------------------------------------

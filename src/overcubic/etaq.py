@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log, pi, sqrt
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,6 +28,13 @@ from .series import TruncatedSeries, zero
 
 # hard ceiling on residue expansion orders so a mistyped size fails fast
 MAX_ORDER = 4_000_000
+
+# Ceiling on the estimated bytes of one exact expansion, checked before it
+# allocates.  The saddle-point bound [q^n]F <= F(x)/x^n on the majorant of
+# prod f_delta^r_delta (log F(e^-t) <= pi^2 sum |r_delta| / (6 delta t))
+# gives log2 |a(n)| <= pi*sqrt(2cn/3)/ln 2 with c = sum |r_delta|/delta; an
+# expansion below n is estimated at n * (bits/8 + 32) bytes.
+MAX_EXACT_BYTES = 1 << 30
 
 # Bound on the odd part of a residue modulus.  A mul pass sums up to
 # #terms products, each below (m-1)^2, in one uint64 before it reduces, and
@@ -132,6 +139,18 @@ def _cached(cache: dict, key, n: int, build):
     if hit is None or hit[0] < n:
         hit = cache[key] = (n, build(n))
     return hit[1]
+
+
+def largest_first(checks) -> list:
+    """Call the function of every (order, function) check, largest order
+    first, and return their values in the given order.  A check's order is
+    the largest expansion it asks for.  The memos keep the longest build per
+    key and serve shorter requests a prefix, so a key first asked for at its
+    largest order is built once."""
+    values = [None] * len(checks)
+    for i in sorted(range(len(checks)), key=lambda i: checks[i][0], reverse=True):
+        values[i] = checks[i][1]()
+    return values
 
 
 def _factor_passes(delta: int, r: int, limit: int):
@@ -317,6 +336,13 @@ def expand_monomial(m: FMonomial, n: int) -> TruncatedSeries:
     length = n - m.qpower
     if length < 1:
         return zero(n)
+    c = sum(abs(r) / delta for delta, r in m.factors)
+    size = length * (pi * sqrt(2 * c * length / 3) / log(2) / 8 + 32)
+    if size > MAX_EXACT_BYTES:
+        raise InsufficientPrecision(
+            f"exact expansion to order {n} needs about {size:.3g} bytes,"
+            f" above the exact-path ceiling {MAX_EXACT_BYTES}"
+        )
     coeffs = _expand_factors_exact(m.factors, length)
     if m.coefficient != 1:
         coeffs = [m.coefficient * c for c in coeffs]

@@ -42,20 +42,6 @@ class VerificationResult:
         return rec
 
 
-@dataclass
-class SuiteReport:
-    """A batch of verification results under one named run."""
-
-    name: str
-    label: str
-    parameters: dict[str, Any]
-    results: list[VerificationResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"

@@ -36,11 +36,11 @@ TRIPLE = etaq.Family("overcubic-triple")
 def test_c1_theorem1_suite_exact_and_fast():
     etaq._residue_cache.clear()  # time the cold path honestly
     t0 = time.perf_counter()
-    report = cg.theorem_suite("1", n_limit=1000)
+    _, results = cg.run_suites(["1"], n_limit=1000)
     elapsed = time.perf_counter() - t0
-    assert len(report.results) == 10
-    assert report.passed, [r.name for r in report.results if not r.passed]
-    assert max(r.orders["expansion"] for r in report.results) == 32 * 1000 + 28 + 1
+    assert len(results) == 10
+    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+    assert max(r.orders["expansion"] for r in results) == 32 * 1000 + 28 + 1
     assert elapsed < 60.0, f"suite took {elapsed:.1f}s"
 
 
@@ -48,46 +48,46 @@ def test_c1_theorem1_suite_exact_and_fast():
 
 
 def test_c2_mod128_and_mod384_progressions():
-    report = cg.theorem_suite("3", n_limit=500)
-    assert report.passed
-    assert {(r.claim["m"], r.claim["j"], r.claim["modulus"]) for r in report.results} == {
+    _, results = cg.run_suites(["3"], n_limit=500)
+    assert all(r.passed for r in results)
+    assert {(r.claim["m"], r.claim["j"], r.claim["modulus"]) for r in results} == {
         (72, 21, 128),
         (72, 69, 384),
     }
-    assert max(r.orders["expansion"] for r in report.results) == 72 * 500 + 69 + 1
+    assert max(r.orders["expansion"] for r in results) == 72 * 500 + 69 + 1
 
 
 # -- criterion 3: dilated families and both conjectures --------------------------
 
 
 def test_c3_dilated_families():
-    report = cg.theorem_suite("2", n_limit=200, alpha_limit=5)
-    assert report.passed and len(report.results) == 12
+    _, results = cg.run_suites(["2"], n_limit=200, alpha_limit=5)
+    assert all(r.passed for r in results) and len(results) == 12
 
 
 def test_c3_conjecture_evidence_is_labeled():
     for name, expected in (("conjecture-1", 6), ("conjecture-2", 13)):
-        report = cg.theorem_suite(name, n_limit=200, alpha_limit=5)
-        assert report.passed and len(report.results) == expected
-        assert report.label == "conjectured, numerical evidence only"
-        assert all(r.claim["status"] == "conjectured" for r in report.results)
-        assert report.parameters["alpha_limit"] == 5
+        parameters, results = cg.run_suites([name], n_limit=200, alpha_limit=5)
+        assert all(r.passed for r in results) and len(results) == expected
+        assert parameters[name]["label"] == "conjectured, numerical evidence only"
+        assert all(r.claim["status"] == "conjectured" for r in results)
+        assert parameters[name]["alpha_limit"] == 5
 
 
 # -- criterion 4: the seven-progression family for small tuples ------------------
 
 
 def test_c4_odd_tuple_progressions():
-    report = cg.theorem_suite("5", n_limit=500)
-    assert report.passed and len(report.results) == 28
+    _, results = cg.run_suites(["5"], n_limit=500)
+    assert all(r.passed for r in results) and len(results) == 28
 
 
 # -- criterion 5: odd tuples match the single family mod 4 -----------------------
 
 
 def test_c5_tuple_vs_single_mod4_to_2000():
-    report = cg.theorem_suite("9", order=2000)
-    assert report.passed and len(report.results) == 3
+    _, results = cg.run_suites(["9"], order=2000)
+    assert all(r.passed for r in results) and len(results) == 3
 
 
 def test_c5_exact_difference_reduces_to_zero():
@@ -101,10 +101,10 @@ def test_c5_exact_difference_reduces_to_zero():
 
 
 def test_c6_nonresidue_progressions():
-    report = cg.theorem_suite("mod4-progressions", n_limit=500)
-    assert report.passed
-    assert len(report.results) == 22  # (1+2+3+5) nonresidues, two tuple sizes
-    assert {r.claim["m"] for r in report.results} == {6, 10, 14, 22}
+    _, results = cg.run_suites(["mod4-progressions"], n_limit=500)
+    assert all(r.passed for r in results)
+    assert len(results) == 22  # (1+2+3+5) nonresidues, two tuple sizes
+    assert {r.claim["m"] for r in results} == {6, 10, 14, 22}
 
 
 # -- criterion 7: identity catalogs at order 2000 --------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from overcubic import catalogs
+from overcubic import catalogs, etaq
 from overcubic.cli import main
 
 
@@ -226,8 +226,10 @@ def test_verify_at_2_63_runs(capsys):
         ["scan", "--family", "overcubic-triple", "--max-m", "2", "--moduli", "4",
          "--n-min", "1000000"],
         ["expand", "--family", "overcubic-triple", "--mod", "4", "--order", "4000001"],
+        ["expand", "--family", "overcubic-triple", "--order", "100000000"],
+        ["coeffs", "--family", "overcubic-triple", "--indices", "50000000"],
     ],
-    ids=["density", "scan", "expand"],
+    ids=["density", "scan", "expand", "expand-exact", "coeffs-exact"],
 )
 def test_order_ceiling_exits_two_at_once(capsys, argv):
     t0 = time.perf_counter()
@@ -270,6 +272,28 @@ BAD_INPUTS = {
     "scan-no-moduli": (
         ["scan", "--family", "partition", "--max-m", "5", "--moduli", ",", "--n-min", "150"], None
     ),
+    "lacunary-negative-alpha-limit": (
+        ["paper-suite", "--theorem", "lacunary", "--alpha-limit", "-1"], None
+    ),
+    "dissections-negative-alpha-limit": (
+        ["paper-suite", "--theorem", "dissections", "--alpha-limit", "-1"], None
+    ),
+    "certificate-negative-alpha-limit": (
+        ["paper-suite", "--theorem", "certificate", "--alpha-limit", "-1"], None
+    ),
+    # either-or flags: exactly one of the pair
+    "expand-family-and-factors": (
+        ["expand", "--family", "overcubic", "--factors", "1:1", "--order", "5"], None
+    ),
+    "dissect-family-and-factors": (
+        ["dissect", "--family", "overcubic", "--factors", "1:1", "--m", "2", "--j", "0",
+         "--order", "5"], None
+    ),
+    "coeffs-indices-and-progression": (
+        ["coeffs", "--family", "overcubic", "--indices", "1,2", "--progression", "2,1"], None
+    ),
+    "expand-neither-family-nor-factors": (["expand", "--order", "5"], None),
+    "coeffs-neither-indices-nor-progression": (["coeffs", "--family", "overcubic"], None),
 }
 
 
@@ -314,6 +338,33 @@ def test_missing_required_flag_exits_two(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "the following arguments are required: " + flag in captured.err
+
+
+BUILD_COUNT_RUNS = [
+    ["paper-suite", "--theorem", "all", "--n-limit", "30", "--alpha-limit", "2",
+     "--order", "400"],
+    ["identity", "--catalog", "identities/congruence_identities.json", "--order", "200"],
+]
+
+
+@pytest.mark.parametrize("argv", BUILD_COUNT_RUNS, ids=["paper-suite-all", "identity"])
+def test_every_expansion_is_built_once_per_run(monkeypatch, capsys, argv):
+    builds = []
+    cached = etaq._cached
+
+    def recording(cache, key, n, build):
+        def counted(limit):
+            builds.append(("exact" if cache is etaq._exact_cache else "residue", key))
+            return build(limit)
+
+        return cached(cache, key, n, counted)
+
+    monkeypatch.setattr(etaq, "_cached", recording)
+    etaq._exact_cache.clear()
+    etaq._residue_cache.clear()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert builds and len(builds) == len(set(builds)), sorted(builds)
 
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))

@@ -149,25 +149,26 @@ def test_scan_config_validation():
 
 
 def test_theorem1_suite_small():
-    report = cg.theorem_suite("1", n_limit=60)
-    assert len(report.results) == 10 and report.passed
+    _, results = cg.run_suites(["1"], n_limit=60)
+    assert len(results) == 10 and all(r.passed for r in results)
 
 
 def test_theorem5_suite_small():
-    report = cg.theorem_suite("5", n_limit=40)  # k runs over 0..3
-    assert len(report.results) == 28 and report.passed
+    _, results = cg.run_suites(["5"], n_limit=40)  # k runs over 0..3
+    assert len(results) == 28 and all(r.passed for r in results)
 
 
 def test_tuple_vs_single_suite():
-    report = cg.theorem_suite("9", order=500)
-    assert report.passed and len(report.results) == 3
+    _, results = cg.run_suites(["9"], order=500)
+    assert all(r.passed for r in results) and len(results) == 3
 
 
 def test_conjecture_suites_are_labeled():
-    report = cg.theorem_suite("conjecture-1", n_limit=20, alpha_limit=2)
-    assert report.label == cg.CONJECTURE_LABEL
-    assert all(r.claim["status"] == "conjectured" for r in report.results)
-    assert report.passed
+    parameters, results = cg.run_suites(["conjecture-1"], n_limit=20, alpha_limit=2)
+    assert parameters["conjecture-1"]["label"] == cg.CONJECTURE_LABEL
+    assert all(r.claim["status"] == "conjectured" for r in results)
+    assert all(r.status == cg.CONJECTURE_LABEL for r in results)
+    assert all(r.passed for r in results)
 
 
 def test_suite_checks_its_largest_order_before_building(monkeypatch):
@@ -178,12 +179,12 @@ def test_suite_checks_its_largest_order_before_building(monkeypatch):
 
     monkeypatch.setattr(etaq, "_expand_factors_residue", no_build)
     with pytest.raises(InsufficientPrecision):
-        cg.theorem_suite("conjecture-2", alpha_limit=12)
+        cg.run_suites(["conjecture-2"], alpha_limit=12)
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
-        cg.theorem_suite("42")
+        cg.run_suites(["42"])
 
 
 def test_claim_serialization_roundtrip():

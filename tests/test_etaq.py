@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import log, pi, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,22 @@ RESIDUE_MODULI = (2, 64, 3, 9, 384, 6, 12, 96, 3 << 40, 32749 << 20, 1 << 63)
 @settings(max_examples=300, deadline=None)
 def test_residue_expansion_agrees_with_exact(m, n, modulus):
     assert expand_monomial_mod(m, n, modulus) == reduce_mod(expand_monomial(m, n), modulus)
+
+
+@given(
+    st.dictionaries(
+        st.integers(min_value=1, max_value=16), st.integers(min_value=-7, max_value=7), max_size=4
+    ),
+    st.integers(min_value=1, max_value=400),
+)
+@settings(max_examples=200, deadline=None)
+def test_coefficients_obey_the_exact_ceiling_bound(factors, n):
+    # log2 |a(i)| <= pi * sqrt(2ci/3) / ln 2 with c = sum |r| / delta, the
+    # saddle-point bound the exact-path ceiling is stated with
+    c = sum(abs(r) / d for d, r in factors.items())
+    coeffs = expand_monomial(FMonomial.make(factors=factors), n).window(0, n)
+    for i, a in enumerate(coeffs):
+        assert a.bit_length() <= pi * sqrt(2 * c * i / 3) / log(2) + 1
 
 
 def test_residue_array_rejects_bad_inputs():

@@ -43,7 +43,7 @@ REPORTS = [
     ("paper-suite --theorem 9 --order 300 --format csv", 0,
      "823b9f2b0e05ced1f4002e635edb3c8ad4286aace3d1425ee80faafe77d8fe7a"),
     # the rows below were recorded before the pass-through layers went:
-    # the conjecture label is set in theorem_suite, not in the CLI
+    # the conjecture label is set in the suite code, not in the CLI
     ("paper-suite --theorem conjecture-1 --n-limit 20 --alpha-limit 2", 0,
      "cbde8491dd74c6110896bb926359ba6179bef5ac8b4623804ebfe5b1cd084dae"),
     # the tuple lengths and primes of these suites are constants
@@ -60,6 +60,12 @@ REPORTS = [
     # oracle.table in place of the counter object
     ("oracle --family overcubic-ktuple --k 3 --max-n 10 --format csv", 0,
      "8ccd377c4c8c3ad67a72bd91a68cb3263b64ca040bc8f39ca35e98867b62e7d0"),
+    # every suite in one run, recorded before the suites moved into one table
+    # and one largest-first pass
+    ("paper-suite --theorem all --n-limit 20 --alpha-limit 1 --order 300", 0,
+     "c6d110d5a9c4df99127139ba5259e4f8ce182743b27ae1b2a616a16768459b86"),
+    ("paper-suite --theorem all --n-limit 20 --alpha-limit 1 --order 300 --format csv", 0,
+     "ad6a58e7e2bc88991c25797c81fc9eca56959ce6b867b9379d723e8de9e74624"),
 ]
 
 
