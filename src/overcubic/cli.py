@@ -34,11 +34,12 @@ def _parse_factors(text: str) -> dict[int, int]:
 
 
 def _monomial_from_args(args) -> etaq.FMonomial:
+    """--coefficient times q^--qpower times the family's or the factors' monomial."""
     if args.family is not None:
-        return etaq.family_monomial(etaq.Family(args.family, args.k))
-    return etaq.FMonomial.make(
-        coefficient=args.coefficient, qpower=args.qpower, factors=_parse_factors(args.factors)
-    )
+        base = etaq.family_monomial(etaq.Family(args.family, args.k))
+    else:
+        base = etaq.FMonomial.make(factors=_parse_factors(args.factors))
+    return etaq.FMonomial(args.coefficient, args.qpower + base.qpower, base.factors)
 
 
 def _report(
@@ -47,8 +48,6 @@ def _report(
     """Write the report envelope (command, parameters, passed) around
     `body`, or `csv_text` under --format csv; returns the exit code."""
     if args.format == "csv":
-        if csv_text is None:
-            raise ValueError("this subcommand has no CSV form")
         text = csv_text
     else:
         text = to_json(
@@ -224,6 +223,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    etaq.Family(args.family, args.k)  # the name and k checks every command applies
     table = oracle.table(args.family, args.max_n, args.k, args.cap)
     rows = [{"n": n, "count": c} for n, c in enumerate(table)]
     return _report(
@@ -253,9 +253,9 @@ def cmd_paper_suite(args) -> int:
 # parser
 
 
-def _add_output_options(p):
+def _add_output_options(p, formats=("json", "csv")):
     p.add_argument("--output", help="write the report to this path instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--job", help="JSON file of parameters; explicit flags override")
 
 
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_monomial_options(p)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--mod", type=int, default=None)
-    _add_output_options(p)
+    _add_output_options(p, ("json",))
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("coeffs", help="specific coefficients, exact unless --mod is given")
@@ -319,20 +319,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--order", type=int, help="coefficients reported below this order", required=True)
     p.add_argument("--mod", type=int, default=None)
-    _add_output_options(p)
+    _add_output_options(p, ("json",))
     p.set_defaults(func=cmd_dissect)
 
     p = sub.add_parser("identity", help="verify an identity catalog")
     p.add_argument("--catalog", required=True)
     p.add_argument("--name", help="verify a single named identity")
     p.add_argument("--order", type=int, default=2000)
-    _add_output_options(p)
+    _add_output_options(p, ("json",))
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("certificate", help="verify a congruence certificate file")
     p.add_argument("--cert", default="certs/bt_8n7.json")
     p.add_argument("--order", type=int, default=300)
-    _add_output_options(p)
+    _add_output_options(p, ("json",))
     p.set_defaults(func=cmd_certificate)
 
     p = sub.add_parser("density", help="arithmetic density of a residue class")

@@ -58,17 +58,6 @@ class CongruenceClaim:
             "status": self.status,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CongruenceClaim":
-        return cls(
-            family=etaq.Family(d["family"], d.get("k", 1)),
-            m=d["m"],
-            j=d["j"],
-            modulus=d["modulus"],
-            alpha=d.get("alpha", 0),
-            status=d.get("status", PROVED),
-        )
-
 
 def required_order(claim: CongruenceClaim, n_limit: int) -> int:
     if n_limit < 0:

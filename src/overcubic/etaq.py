@@ -29,12 +29,18 @@ from .series import TruncatedSeries, zero
 # hard ceiling on residue expansion orders so a mistyped size fails fast
 MAX_ORDER = 4_000_000
 
-# Ceiling on the estimated bytes of one exact expansion, checked before it
-# allocates.  The saddle-point bound [q^n]F <= F(x)/x^n on the majorant of
+# Ceiling on the estimated peak bytes of one exact expansion, checked before
+# it allocates.  The saddle-point bound [q^n]F <= F(x)/x^n on the majorant of
 # prod f_delta^r_delta (log F(e^-t) <= pi^2 sum |r_delta| / (6 delta t))
-# gives log2 |a(n)| <= pi*sqrt(2cn/3)/ln 2 with c = sum |r_delta|/delta; an
-# expansion below n is estimated at n * (bits/8 + 32) bytes.
-MAX_EXACT_BYTES = 1 << 30
+# gives log2 |a(n)| <= pi*sqrt(2cn/3)/ln 2 with c = sum |r_delta|/delta, and
+# every partial product obeys it too.  A Python int of b bits takes at most
+# 32 + b/7.5 bytes and a list slot 8 more.  A mul pass holds the accumulator,
+# its output and the new slice it writes into the output (three lists of
+# ints) and the old slice it reads (a fourth list of slots), so a build
+# below n is estimated at n * (bits/2.5 + 128) bytes (exact_bytes).  The cap
+# admits the triple family to order 93,832; `coeffs --family overcubic-triple
+# --indices 93831` took 35 s cold at 114 MB peak RSS on a 2-core machine.
+MAX_EXACT_BYTES = 1 << 27
 
 # Bound on the odd part of a residue modulus.  A mul pass sums up to
 # #terms products, each below (m-1)^2, in one uint64 before it reduces, and
@@ -327,6 +333,13 @@ def expand_f(delta: int, n: int) -> TruncatedSeries:
     return TruncatedSeries.make(0, coeffs, n)
 
 
+def exact_bytes(factors: tuple[tuple[int, int], ...], n: int) -> float:
+    """Estimated peak bytes of the exact build of prod f_delta^r below n,
+    the figure MAX_EXACT_BYTES bounds."""
+    c = sum(abs(r) / delta for delta, r in factors)
+    return n * (pi * sqrt(2 * c * n / 3) / log(2) / 2.5 + 128)
+
+
 def expand_monomial(m: FMonomial, n: int) -> TruncatedSeries:
     """Exact expansion of c * q^e * prod f_delta^r below exponent n."""
     if n < 1:
@@ -336,8 +349,7 @@ def expand_monomial(m: FMonomial, n: int) -> TruncatedSeries:
     length = n - m.qpower
     if length < 1:
         return zero(n)
-    c = sum(abs(r) / delta for delta, r in m.factors)
-    size = length * (pi * sqrt(2 * c * length / 3) / log(2) / 8 + 32)
+    size = exact_bytes(m.factors, length)
     if size > MAX_EXACT_BYTES:
         raise InsufficientPrecision(
             f"exact expansion to order {n} needs about {size:.3g} bytes,"
@@ -475,8 +487,9 @@ def cotron_check(g: FMonomial, p: int) -> CriterionReport:
 
 @dataclass(frozen=True)
 class Family:
-    """A named generating function; k is the tuple length and is ignored by
-    the non-parameterized families."""
+    """A named generating function; k is the tuple length of the
+    parameterized families (a k-linear exponent in the catalog) and must be
+    1 for the others."""
 
     name: str
     k: int = 1
@@ -484,9 +497,12 @@ class Family:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.name not in catalogs.family_table():
+        entry = catalogs.family_table().get(self.name)
+        if entry is None:
             known = ", ".join(sorted(catalogs.family_table()))
             raise ValueError(f"unknown family {self.name!r}; known: {known}")
+        if self.k != 1 and all(isinstance(r, int) for r in entry["factors"].values()):
+            raise ValueError(f"family {self.name!r} has no tuple length; k must be 1")
 
 
 _K_LINEAR = re.compile(r"^(-?\d*)k$")

@@ -294,6 +294,12 @@ BAD_INPUTS = {
     ),
     "expand-neither-family-nor-factors": (["expand", "--order", "5"], None),
     "coeffs-neither-indices-nor-progression": (["coeffs", "--family", "overcubic"], None),
+    # --k is a tuple length; a family without one must not echo a k it ignored
+    "verify-k-on-fixed-family": (
+        ["verify", "--family", "overcubic-triple", "--k", "5", "--progression", "8,7",
+         "--mod", "64", "--n-limit", "10"], None
+    ),
+    "oracle-k-on-fixed-family": (["oracle", "--family", "overcubic", "--k", "5"], None),
 }
 
 
@@ -312,6 +318,47 @@ def test_bad_input_exits_two_with_a_message(tmp_path, capsys, case):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--family", "overcubic-triple", "--order", "30000"],
+        ["dissect", "--family", "overcubic-triple", "--m", "2", "--j", "0", "--order", "50"],
+        ["identity", "--catalog", "identities/lemma_dissections.json"],
+        ["certificate"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_csv_is_refused_before_any_expansion(monkeypatch, capsys, argv):
+    def no_build(*args):
+        raise AssertionError("expanded before the usage error")
+
+    monkeypatch.setattr(etaq, "_expand_factors_exact", no_build)
+    monkeypatch.setattr(etaq, "_expand_factors_residue", no_build)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
+
+
+# the same monomial from a family and from its factors, with the same flags
+FAMILY_AND_FACTORS = [
+    ["expand", "--order", "10"],
+    ["coeffs", "--indices", "2,5,9"],
+    ["dissect", "--m", "2", "--j", "1", "--order", "6", "--mod", "64"],
+]
+
+
+@pytest.mark.parametrize("argv", FAMILY_AND_FACTORS, ids=lambda argv: argv[0])
+def test_coefficient_and_qpower_apply_to_a_family(capsys, argv):
+    flags = ["--coefficient", "3", "--qpower", "2"]
+    _, family = run_cli(capsys, *argv, "--family", "overcubic", *flags)
+    _, factors = run_cli(capsys, *argv, "--factors", "1:-2,2:-1,4:1", *flags)
+    assert family == factors
+    assert json.loads(family)["parameters"]["monomial"] == "3*q^2*f1^-2*f2^-1*f4"
 
 
 # subcommand argv without one required flag, and that flag
@@ -367,26 +414,14 @@ def test_every_expansion_is_built_once_per_run(monkeypatch, capsys, argv):
     assert builds and len(builds) == len(set(builds)), sorted(builds)
 
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
-
-
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_help_runs(script):
-    src = str(script.parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(script), "--help"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage:")
-
-
 def test_module_entry_point_runs():
+    # the child runs the checkout's package, as the test process does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "overcubic", "oracle", "--family", "partition",
          "--max-n", "5", "--format", "csv"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "5,7"

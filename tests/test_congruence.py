@@ -185,9 +185,3 @@ def test_suite_checks_its_largest_order_before_building(monkeypatch):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         cg.run_suites(["42"])
-
-
-def test_claim_serialization_roundtrip():
-    claim = cg.CongruenceClaim(Family("overcubic-ktuple", 5), m=8, j=3, modulus=4, alpha=2,
-                               status="conjectured")
-    assert cg.CongruenceClaim.from_dict(claim.to_dict()) == claim

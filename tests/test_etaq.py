@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import log, pi, sqrt
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_euler_product
-from overcubic import oracle
+from overcubic import etaq, oracle
 from overcubic.errors import NonIntegerWeight, UnsupportedModulus
 from overcubic.etaq import (
     CriterionReport,
@@ -129,6 +130,25 @@ def test_coefficients_obey_the_exact_ceiling_bound(factors, n):
     coeffs = expand_monomial(FMonomial.make(factors=factors), n).window(0, n)
     for i, a in enumerate(coeffs):
         assert a.bit_length() <= pi * sqrt(2 * c * i / 3) / log(2) + 1
+
+
+# the certificate's prefactor, whose pole and large exponents stress the bound
+PREFACTOR = FMonomial.make(1, -15, {1: 69, 4: 30, 2: -29, 8: -64})
+
+
+@pytest.mark.parametrize(
+    "m,n", [(TRIPLE, 2000), (FMonomial.make(factors={1: -1}), 2000), (PREFACTOR, 300)],
+    ids=["triple", "f1^-1", "prefactor"],
+)
+def test_exact_ceiling_estimate_bounds_the_peak(monkeypatch, m, n):
+    monkeypatch.setattr(etaq, "_exact_cache", {})
+    tracemalloc.start()
+    try:
+        expand_monomial(m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= etaq.exact_bytes(m.factors, n - m.qpower)
 
 
 def test_residue_array_rejects_bad_inputs():
