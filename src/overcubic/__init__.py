@@ -18,9 +18,7 @@ from .etaq import (  # noqa: F401
     Family,
     FMonomial,
     cotron_check,
-    expand_f,
-    expand_monomial,
-    expand_sum,
+    expand,
     family_monomial,
     phi,
     psi,
@@ -30,4 +28,3 @@ from .dissect import IdentityClaim, extract_progression, interleave, verify_iden
 from .congruence import CongruenceClaim, ScanConfig, run_suites, scan, verify_congruence  # noqa: F401
 from .certify import RaduCertificate, load_certificate, verify_certificate  # noqa: F401
 from .density import DensityReport, compute_density, exception_structure_check  # noqa: F401
-from .oracle import count_ktuple, count_opt_ktuple, count_overcubic  # noqa: F401

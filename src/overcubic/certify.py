@@ -99,11 +99,11 @@ def verify_certificate(cert: RaduCertificate, n: int) -> VerificationResult:
     deg = cert.polynomial_degree()
     t_order = n + max(0, -cert.hauptmodul.qpower) * max(deg - 1, 0)
 
-    base = etaq.expand_monomial(cert.base, base_n)
-    lhs = etaq.expand_monomial(cert.prefactor, n)
+    base = etaq.expand(cert.base, base_n)
+    lhs = etaq.expand(cert.prefactor, n)
     for j in cert.orbit:
         lhs = mul(lhs, extract_progression(base, cert.m, j))
-    t = etaq.expand_monomial(cert.hauptmodul, t_order)
+    t = etaq.expand(cert.hauptmodul, t_order)
     rhs = _poly_eval(cert.polynomial, deg, t)
 
     if lhs.order < n or rhs.order < n:

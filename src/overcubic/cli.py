@@ -16,27 +16,24 @@ from pathlib import Path
 from . import __version__, catalogs, certify, congruence, density, dissect, etaq, oracle
 from .errors import QSeriesError
 from .reporting import CONGRUENCE_COLUMNS, to_csv, to_json
-from .series import reduce_mod
 
 
 def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(" ", "").split(",") if x]
 
 
-def _parse_factors(text: str) -> dict[int, int]:
-    out = {}
-    for item in text.replace(" ", "").split(","):
-        if not item:
-            continue
-        d, _, r = item.partition(":")
-        out[int(d)] = int(r)
-    return out
+def _parse_factors(text: str) -> list[tuple[int, int]]:
+    """(delta, r) pairs in the given order; FMonomial refuses a repeated delta."""
+    pairs = (item.partition(":") for item in text.replace(" ", "").split(",") if item)
+    return [(int(d), int(r)) for d, _, r in pairs]
 
 
 def _monomial_from_args(args) -> etaq.FMonomial:
     """--coefficient times q^--qpower times the family's or the factors' monomial."""
     if args.family is not None:
         base = etaq.family_monomial(etaq.Family(args.family, args.k))
+    elif args.k != 1:
+        raise ValueError("--k is a family's tuple length; --factors takes only --k 1")
     else:
         base = etaq.FMonomial.make(factors=_parse_factors(args.factors))
     return etaq.FMonomial(args.coefficient, args.qpower + base.qpower, base.factors)
@@ -73,10 +70,7 @@ def _report(
 
 def cmd_expand(args) -> int:
     mon = _monomial_from_args(args)
-    if args.mod is not None:
-        s = etaq.expand_monomial_mod(mon, args.order, args.mod)
-    else:
-        s = etaq.expand_monomial(mon, args.order)
+    s = etaq.expand(mon, args.order, args.mod)
     return _report(
         args,
         "expand",
@@ -97,10 +91,7 @@ def cmd_coeffs(args) -> int:
     if not indices or min(indices) < 0:
         raise ValueError("indices must be nonnegative")
     order = max(indices) + 1
-    if args.mod is not None:
-        s = etaq.expand_monomial_mod(mon, order, args.mod)
-    else:
-        s = etaq.expand_monomial(mon, order)
+    s = etaq.expand(mon, order, args.mod)
     values = [s.coefficient(i) for i in indices]
     csv_text = to_csv(
         [{"n": i, "coefficient": v} for i, v in zip(indices, values)], ("n", "coefficient")
@@ -166,17 +157,16 @@ def cmd_scan(args) -> int:
 def cmd_dissect(args) -> int:
     mon = _monomial_from_args(args)
     base_order = args.m * args.order + args.j
-    base = etaq.expand_monomial(mon, base_order)
+    base = etaq.expand(mon, base_order, args.mod)
     part = dissect.extract_progression(base, args.m, args.j)
-    part_out = part if args.mod is None else reduce_mod(part, args.mod)
     return _report(
         args,
         "dissect",
         {"monomial": repr(mon), "m": args.m, "j": args.j, "order": args.order, "mod": args.mod},
         {
-            "valuation": part_out.valuation,
-            "order": part_out.order,
-            "coefficients": list(part_out.window(0, args.order)),
+            "valuation": part.valuation,
+            "order": part.order,
+            "coefficients": list(part.window(0, args.order)),
         },
     )
 
@@ -224,7 +214,7 @@ def cmd_density(args) -> int:
 
 def cmd_oracle(args) -> int:
     etaq.Family(args.family, args.k)  # the name and k checks every command applies
-    table = oracle.table(args.family, args.max_n, args.k, args.cap)
+    table = oracle.table(args.family, args.max_n, args.k)
     rows = [{"n": n, "count": c} for n, c in enumerate(table)]
     return _report(
         args,
@@ -347,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="enumeration counts (n, count) for audit")
     p.add_argument("--family", required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--max-n", type=int, default=oracle.DEFAULT_CAP)
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    p.add_argument("--max-n", type=int, default=oracle.MAX_N)
     _add_output_options(p)
     p.set_defaults(func=cmd_oracle)
 

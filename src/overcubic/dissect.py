@@ -88,10 +88,10 @@ def lhs_order(claim: IdentityClaim, n: int) -> int:
 def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:
     """Expand both sides to order n (the left side to lhs_order) and compare."""
     lhs_n = lhs_order(claim, n)
-    lhs = etaq.expand_sum(claim.lhs, lhs_n)
+    lhs = etaq.expand(claim.lhs, lhs_n)
     if claim.lhs_progression is not None:
         lhs = extract_progression(lhs, *claim.lhs_progression)
-    rhs = etaq.expand_sum(claim.rhs, n)
+    rhs = etaq.expand(claim.rhs, n)
     mismatch = first_difference(lhs, rhs, n, modulus=claim.modulus)
     return VerificationResult(
         name=claim.name,

@@ -26,7 +26,7 @@ class UnsupportedBasis(QSeriesError):
 
 
 class CapExceeded(QSeriesError):
-    """Enumeration was asked for an index above the configured cap."""
+    """Enumeration was asked for an n above oracle.MAX_N."""
 
 
 class UnsupportedModulus(QSeriesError):

@@ -8,8 +8,9 @@ coefficients +-(2k+1), which cuts the number of passes for large
 exponents roughly by three.  Exact expansions carry Python integers; the
 residue path carries numpy uint64 words, either wrapping naturally mod
 2^64 (exact for any power-of-two modulus up to 2^63) or reduced mod a
-small odd modulus after every pass.  residue_array is the one residue
-entry point: it splits a modulus into those two parts and recombines
+small odd modulus after every pass.  expand is the one series entry
+point, exact or mod M.  residue_array, the array primitive under its
+residue route, splits a modulus into those two parts and recombines
 them by CRT.
 """
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import catalogs
 from .errors import InsufficientPrecision, NonIntegerWeight, UnsupportedModulus
-from .series import TruncatedSeries, zero
+from .series import TruncatedSeries, reduce_mod, zero
 
 # hard ceiling on residue expansion orders so a mistyped size fails fast
 MAX_ORDER = 4_000_000
@@ -323,16 +324,6 @@ def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
 # public expansion operations
 
 
-def expand_f(delta: int, n: int) -> TruncatedSeries:
-    """Expansion of f_delta below exponent n via the pentagonal numbers."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    coeffs = [0] * n
-    for e, s in pentagonal_terms(delta, n):
-        coeffs[e] = s
-    return TruncatedSeries.make(0, coeffs, n)
-
-
 def exact_bytes(factors: tuple[tuple[int, int], ...], n: int) -> float:
     """Estimated peak bytes of the exact build of prod f_delta^r below n,
     the figure MAX_EXACT_BYTES bounds."""
@@ -340,15 +331,11 @@ def exact_bytes(factors: tuple[tuple[int, int], ...], n: int) -> float:
     return n * (pi * sqrt(2 * c * n / 3) / log(2) / 2.5 + 128)
 
 
-def expand_monomial(m: FMonomial, n: int) -> TruncatedSeries:
-    """Exact expansion of c * q^e * prod f_delta^r below exponent n."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if m.coefficient == 0:
-        return zero(n)
+def expand_monomial(m: FMonomial, n: int) -> list[int]:
+    """Exact coefficients of m for the nonempty window [m.qpower, n): the
+    exact route of expand, refused above MAX_EXACT_BYTES before it
+    allocates.  perfbench reads the exact engine's calls by this name."""
     length = n - m.qpower
-    if length < 1:
-        return zero(n)
     size = exact_bytes(m.factors, length)
     if size > MAX_EXACT_BYTES:
         raise InsufficientPrecision(
@@ -356,29 +343,37 @@ def expand_monomial(m: FMonomial, n: int) -> TruncatedSeries:
             f" above the exact-path ceiling {MAX_EXACT_BYTES}"
         )
     coeffs = _expand_factors_exact(m.factors, length)
-    if m.coefficient != 1:
-        coeffs = [m.coefficient * c for c in coeffs]
-    return TruncatedSeries.make(m.qpower, coeffs, n)
+    return coeffs if m.coefficient == 1 else [m.coefficient * c for c in coeffs]
 
 
-def expand_sum(terms: Iterable[FMonomial], n: int) -> TruncatedSeries:
-    """Exact expansion of a sum of monomials below exponent n; an empty sum
-    is zero and a one-term sum is that term's expansion."""
-    series = (expand_monomial(t, n) for t in terms)
-    return sum(series, next(series, zero(n)))
+def expand(
+    terms: FMonomial | Iterable[FMonomial], n: int, modulus: int | None = None
+) -> TruncatedSeries:
+    """Expansion below exponent n of a monomial or a sum of monomials:
+    exact, or with coefficients in [0, modulus) read from residue_array.
 
-
-def expand_monomial_mod(m: FMonomial, n: int, modulus: int) -> TruncatedSeries:
-    """Residue expansion of a monomial; same window convention as
-    expand_monomial but coefficients reduced into [0, modulus)."""
+    A term c * q^e * prod f_delta^r fills the window [e, n); an empty
+    window or c = 0 gives zero.  An empty sum is zero, a one-term sum is
+    that term's series, and a residue sum is reduced once, at the end."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    length = n - m.qpower
-    # an empty window still goes through residue_array, which checks the modulus
-    arr = residue_array(FMonomial(m.coefficient, 0, m.factors), max(length, 1), modulus)
-    if length < 1:
-        return zero(n)
-    return TruncatedSeries.make(m.qpower, arr.tolist(), n)
+
+    def term(t: FMonomial) -> TruncatedSeries:
+        length = n - t.qpower
+        if modulus is None:
+            if length < 1 or not t.coefficient:
+                return zero(n)
+            return TruncatedSeries.make(t.qpower, expand_monomial(t, n), n)
+        # an empty window still goes through residue_array, which checks the modulus
+        arr = residue_array(FMonomial(t.coefficient, 0, t.factors), max(length, 1), modulus)
+        return TruncatedSeries.make(t.qpower, arr.tolist(), n) if length > 0 else zero(n)
+
+    series = map(term, (terms,) if isinstance(terms, FMonomial) else terms)
+    first = next(series, zero(n))
+    total = sum(series, first)
+    if modulus is None or total is first:
+        return total
+    return reduce_mod(total, modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -9,23 +9,33 @@ from __future__ import annotations
 
 from .errors import CapExceeded
 
-DEFAULT_CAP = 40
+# Largest n enumerated.  The recursion is as deep as the number of part
+# classes (about 1.5 n with two even colors), so n in the hundreds exhausts
+# Python's recursion limit; at 40 every table takes well under a second.
+MAX_N = 40
+
+# family -> (classes per even part size, 0 meaning odd parts only;
+# whether a class's first instance may be overlined; tuple length, None
+# where k sets it)
+FAMILIES = {
+    "partition": (1, False, 1),
+    "cubic": (2, False, 1),
+    "overcubic": (2, True, 1),
+    "overcubic-pair": (2, True, 2),
+    "overcubic-triple": (2, True, 3),
+    "overcubic-ktuple": (2, True, None),
+    "opt-ktuple": (0, True, None),
+}
 
 
-def _class_sizes(n: int, even_colors: int, odd_parts_only: bool) -> list[int]:
+def _counts_by_classes(n_max: int, even_colors: int, overline: bool) -> list[int]:
+    """Number of multisets of parts summing to n, for n = 0..n_max.  Every
+    odd size is one part class and every even size `even_colors` classes;
+    with overlining on, a nonempty class contributes an extra factor of 2
+    (its first instance may be overlined)."""
     sizes = []
-    for s in range(1, n + 1):
-        if s % 2 == 0:
-            if not odd_parts_only:
-                sizes.extend([s] * even_colors)
-        else:
-            sizes.append(s)
-    return sizes
-
-
-def _count_by_classes(n: int, sizes: list[int], overline: bool) -> int:
-    """Number of multisets over the given part classes summing to n, where a
-    nonempty class contributes an extra factor of 2 if overlining is on."""
+    for s in range(1, n_max + 1):
+        sizes.extend([s] * (even_colors if s % 2 == 0 else 1))
     weight = 2 if overline else 1
     memo: dict[tuple[int, int], int] = {}
 
@@ -45,37 +55,7 @@ def _count_by_classes(n: int, sizes: list[int], overline: bool) -> int:
         memo[key] = total
         return total
 
-    return go(0, n)
-
-
-def _check_cap(n: int, cap: int):
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > cap:
-        raise CapExceeded(f"n={n} above enumeration cap {cap}")
-
-
-def count_partitions(n: int, cap: int = DEFAULT_CAP) -> int:
-    _check_cap(n, cap)
-    return _count_by_classes(n, _class_sizes(n, 1, False), overline=False)
-
-
-def count_cubic(n: int, cap: int = DEFAULT_CAP) -> int:
-    _check_cap(n, cap)
-    return _count_by_classes(n, _class_sizes(n, 2, False), overline=False)
-
-
-def count_overcubic(n: int, cap: int = DEFAULT_CAP) -> int:
-    """Overcubic partitions: even part sizes carry one of two colors, and the
-    first instance of each (size, color) class may be overlined."""
-    _check_cap(n, cap)
-    return _count_by_classes(n, _class_sizes(n, 2, False), overline=True)
-
-
-def count_odd_overpartition(n: int, cap: int = DEFAULT_CAP) -> int:
-    """Overpartitions into odd parts (first instance of each size overlinable)."""
-    _check_cap(n, cap)
-    return _count_by_classes(n, _class_sizes(n, 0, True), overline=True)
+    return [go(0, n) for n in range(n_max + 1)]
 
 
 def _convolve_tables(base: list[int], k: int) -> list[int]:
@@ -91,46 +71,20 @@ def _convolve_tables(base: list[int], k: int) -> list[int]:
     return acc
 
 
-def count_ktuple(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
-    """Overcubic partition k-tuples of n: k-fold convolution of the
-    enumerated single-partition counts."""
-    _check_cap(n, cap)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    base = [count_overcubic(i, cap) for i in range(n + 1)]
-    return _convolve_tables(base, k)[n]
-
-
-def count_opt_ktuple(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
-    """Overpartition k-tuples with odd parts of n."""
-    _check_cap(n, cap)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    base = [count_odd_overpartition(i, cap) for i in range(n + 1)]
-    return _convolve_tables(base, k)[n]
-
-
-def count(family: str, n: int, k: int = 1, cap: int = DEFAULT_CAP) -> int:
-    """Enumerated count of n for one named family; k is the tuple length of
-    the parameterized families and is ignored by the others."""
-    if family == "partition":
-        return count_partitions(n, cap)
-    if family == "cubic":
-        return count_cubic(n, cap)
-    if family == "overcubic":
-        return count_overcubic(n, cap)
-    if family == "overcubic-pair":
-        return count_ktuple(n, 2, cap)
-    if family == "overcubic-triple":
-        return count_ktuple(n, 3, cap)
-    if family == "overcubic-ktuple":
-        return count_ktuple(n, k, cap)
-    if family == "opt-ktuple":
-        return count_opt_ktuple(n, k, cap)
-    raise ValueError(f"no enumeration for family {family!r}")
-
-
-def table(family: str, n_max: int, k: int = 1, cap: int = DEFAULT_CAP) -> list[int]:
-    """Counts for n = 0..n_max; n_max is checked against the cap first."""
-    _check_cap(n_max, cap)
-    return [count(family, n, k, cap) for n in range(n_max + 1)]
+def table(family: str, n_max: int, k: int = 1) -> list[int]:
+    """Enumerated counts of n = 0..n_max (at most MAX_N) for one named
+    family: the single-partition counts, convolved to the family's tuple
+    length.  k is the tuple length of the parameterized families and is
+    ignored by the others."""
+    if family not in FAMILIES:
+        raise ValueError(f"no enumeration for family {family!r}")
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
+    if n_max > MAX_N:
+        raise CapExceeded(f"n={n_max} above enumeration cap {MAX_N}")
+    even_colors, overline, length = FAMILIES[family]
+    if length is None:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        length = k
+    return _convolve_tables(_counts_by_classes(n_max, even_colors, overline), length)

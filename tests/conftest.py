@@ -1,8 +1,9 @@
-"""Shared test oracles and the acceptance-summary hook.
+"""Shared test oracles, the f_delta helper and the acceptance-summary hook.
 
 The oracles here are deliberately naive: term-by-term products, recursive
 counts, brute-force residue sets.  They share no code with the library
-paths they check.
+paths they check.  f_series is not an oracle: it is the engine's own
+expansion of a single f_delta.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from collections import defaultdict
 
 import pytest
 
+from overcubic.etaq import FMonomial, expand
 from overcubic.series import TruncatedSeries
 
 
@@ -53,6 +55,11 @@ def naive_convolution(a: list[int], b: list[int]) -> list[int]:
         for j in range(n - i):
             out[i + j] += x * b[j]
     return out
+
+
+def f_series(delta: int, n: int) -> TruncatedSeries:
+    """f_delta below q^n through etaq.expand."""
+    return expand(FMonomial.make(factors={delta: 1}), n)
 
 
 def ts(coeffs, valuation: int = 0, order: int | None = None) -> TruncatedSeries:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ts
+from conftest import f_series, ts
 from overcubic import congruence as cg
 from overcubic import density, dissect, etaq, oracle
 from overcubic.certify import load_certificate, verify_certificate
@@ -92,8 +92,8 @@ def test_c5_tuple_vs_single_mod4_to_2000():
 
 def test_c5_exact_difference_reduces_to_zero():
     n = 2000
-    tuple3 = etaq.expand_monomial(etaq.family_monomial(etaq.Family("overcubic-ktuple", 3)), n)
-    single = etaq.expand_monomial(etaq.family_monomial(etaq.Family("overcubic")), n)
+    tuple3 = etaq.expand(etaq.family_monomial(etaq.Family("overcubic-ktuple", 3)), n)
+    single = etaq.expand(etaq.family_monomial(etaq.Family("overcubic")), n)
     assert reduce_mod(sub(tuple3, single), 4).is_zero()
 
 
@@ -164,13 +164,13 @@ def test_c8_any_single_bit_flip_is_rejected(certificate):
      ("opt-ktuple", 1), ("opt-ktuple", 2)],
 )
 def test_c9_series_equals_enumeration(family, k):
-    series = etaq.expand_monomial(etaq.family_monomial(etaq.Family(family, k)), 26)
+    series = etaq.expand(etaq.family_monomial(etaq.Family(family, k)), 26)
     assert series.window(0, 26) == oracle.table(family, 25, k)
 
 
 def test_c9_anchored_spot_values():
-    assert inv(etaq.expand_f(1, 6))[5] == 7  # seven partitions of five
-    triple = etaq.expand_monomial(etaq.family_monomial(TRIPLE), 26)
+    assert inv(f_series(1, 6))[5] == 7  # seven partitions of five
+    triple = etaq.expand(etaq.family_monomial(TRIPLE), 26)
     assert all(triple[n] % 2 == 0 for n in range(1, 26))
 
 
@@ -246,8 +246,8 @@ def test_c11_pow_additivity(a, m, n):
 
 @lru_cache(maxsize=None)
 def _binomial_sides(p, l, k, n):
-    lhs = power(etaq.expand_f(k, n), p**l)
-    rhs = power(etaq.expand_f(p * k, n), p ** (l - 1))
+    lhs = power(f_series(k, n), p**l)
+    rhs = power(f_series(p * k, n), p ** (l - 1))
     return reduce_mod(lhs, p**l), reduce_mod(rhs, p**l)
 
 

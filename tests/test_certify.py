@@ -26,7 +26,7 @@ def test_shipped_certificate_verifies(cert):
 def test_certificate_leading_term_is_the_enumerated_count(cert):
     # valuations cancel so the lowest compared coefficient is the count at
     # index 7 times the top polynomial coefficient over the Hauptmodul lead
-    assert cert.polynomial[-1] == oracle.count_ktuple(7, 3) == 9792
+    assert cert.polynomial[-1] == oracle.table("overcubic-triple", 7)[7] == 9792
 
 
 def test_polynomial_has_zero_constant_term(cert):

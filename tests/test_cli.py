@@ -300,6 +300,16 @@ BAD_INPUTS = {
          "--mod", "64", "--n-limit", "10"], None
     ),
     "oracle-k-on-fixed-family": (["oracle", "--family", "overcubic", "--k", "5"], None),
+    "expand-k-with-factors": (["expand", "--factors", "1:-1", "--k", "5", "--order", "5"], None),
+    # f1 * f1^-1 is 1, not the last factor given for delta 1
+    "expand-repeated-delta": (["expand", "--factors", "1:1,1:-1", "--order", "6"], None),
+    # the enumeration ceiling is a constant, oracle.MAX_N
+    "oracle-cap": (["oracle", "--family", "overcubic", "--max-n", "41", "--cap", "41"], None),
+    # dissect --mod takes the residue route, whose odd part stops at 2^15
+    "dissect-mod-odd-part-above-2-15": (
+        ["dissect", "--family", "overcubic", "--m", "2", "--j", "0", "--order", "10",
+         "--mod", "1048577"], None
+    ),
 }
 
 

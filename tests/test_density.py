@@ -44,9 +44,9 @@ def test_residues_partition_the_indices():
 def test_composite_modulus_density():
     # CRT path: counts mod 12 must match direct residue comparison mod 12
     report = compute_density(TRIPLE, 12, 6, [50])
-    from overcubic.etaq import expand_monomial, family_monomial
+    from overcubic.etaq import expand, family_monomial
 
-    exact = expand_monomial(family_monomial(TRIPLE), 51)
+    exact = expand(family_monomial(TRIPLE), 51)
     expected = sum(1 for n in range(1, 51) if exact[n] % 12 == 6)
     assert report.rows[0][1] == expected
 

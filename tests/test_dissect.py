@@ -13,7 +13,7 @@ from overcubic.dissect import (
     verify_identity,
 )
 from overcubic.errors import NegativeValuation
-from overcubic.etaq import Family, FMonomial, expand_monomial, family_monomial
+from overcubic.etaq import Family, FMonomial, expand, family_monomial
 from overcubic.series import equal_to_order, inv, reduce_mod
 
 TRIPLE = family_monomial(Family("overcubic-triple"))
@@ -30,7 +30,7 @@ def test_all_ones_series_fixed_by_odd_extraction():
 
 
 def test_extraction_of_triple_progression_mod64():
-    base = expand_monomial(TRIPLE, 8 * 40 + 7)
+    base = expand(TRIPLE, 8 * 40 + 7)
     part = extract_progression(base, 8, 7)
     assert part.order >= 40
     assert all(c % 64 == 0 for c in part.window(0, 40))
@@ -111,7 +111,7 @@ def test_corrupted_identity_reports_first_mismatch():
 
 
 def test_quarter_and_eighth_extractions_agree_mod32():
-    base = expand_monomial(TRIPLE, 8 * 300)
+    base = expand(TRIPLE, 8 * 300)
     q4 = extract_progression(base, 4, 0)
     q8 = extract_progression(base, 8, 0)
     assert equal_to_order(reduce_mod(q4, 32), reduce_mod(q8, 32), 300)

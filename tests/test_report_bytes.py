@@ -66,6 +66,21 @@ REPORTS = [
      "c6d110d5a9c4df99127139ba5259e4f8ce182743b27ae1b2a616a16768459b86"),
     ("paper-suite --theorem all --n-limit 20 --alpha-limit 1 --order 300 --format csv", 0,
      "ad6a58e7e2bc88991c25797c81fc9eca56959ce6b867b9379d723e8de9e74624"),
+    # recorded while dissect --mod reduced an exact expansion and the oracle
+    # enumerated every base count once per n: an odd and a CRT modulus, a
+    # shifted and scaled product, and a Laurent window mod an odd prime power
+    ("dissect --family overcubic-triple --m 4 --j 3 --order 40 --mod 3", 0,
+     "af07911acb5ba28d56191d5261b61cace82ec1679d05eb74850c0bda252ada1f"),
+    ("dissect --family overcubic-triple --m 8 --j 7 --order 40 --mod 384", 0,
+     "d161bb7c1934f249c3a9b86564eb8cbdd495adb999e17fe9a309399531d2cb0c"),
+    ("dissect --factors 1:-3 --qpower 1 --coefficient 5 --m 3 --j 2 --order 30 --mod 3", 0,
+     "233281d41b4fb96fbf5589408bc6c9d5dbdcf0ed5b74069c70081e1df9f4482d"),
+    ("coeffs --factors 1:-3 --qpower -2 --indices 0,1,5 --mod 9", 0,
+     "bc9bed5d2195bffd88f9dd246bb7278b1456fb00e5318cca603dd43cf8d79337"),
+    ("oracle --family overcubic-triple --max-n 40 --format csv", 0,
+     "954f00cae6cdcde7f73a0325292a7929dcaf184dddd5dca59e0d22201789003e"),
+    ("oracle --family opt-ktuple --k 5 --max-n 40", 0,
+     "67c99723b248019adf3e6f8ecd8b1d5c58911813442a5689097f010a3fcbe923"),
 ]
 
 

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_convolution, naive_euler_product, naive_partition_counts, ts
+from conftest import f_series, naive_convolution, naive_euler_product, naive_partition_counts, ts
 from overcubic.errors import InsufficientPrecision, NonUnitLeadingCoefficient
-from overcubic.etaq import expand_f
 from overcubic.series import (
     TruncatedSeries,
     add,
@@ -66,14 +65,14 @@ def test_add_cancellation():
 
 
 def test_add_inverse_gives_zero():
-    f1 = expand_f(1, 30)
+    f1 = f_series(1, 30)
     assert add(f1, scale(f1, -1)).is_zero()
 
 
 def test_doubled_partition_series_at_five():
     # independent route: recursive partition counts, then doubled
     p = naive_partition_counts(5)
-    u = inv(expand_f(1, 6))
+    u = inv(f_series(1, 6))
     assert add(u, u)[5] == 2 * p[5] == 14
 
 
@@ -84,7 +83,7 @@ def test_mul_difference_of_squares():
 
 
 def test_mul_by_inverse_is_one():
-    f1 = expand_f(1, 60)
+    f1 = f_series(1, 60)
     assert equal_to_order(mul(f1, inv(f1)), one(60), 60)
 
 
@@ -92,7 +91,7 @@ def test_mul_f1_squared_against_naive_product():
     n = 40
     f1 = naive_euler_product(1, n)
     expected = naive_convolution(f1, f1)
-    got = mul(expand_f(1, n), expand_f(1, n))
+    got = mul(f_series(1, n), f_series(1, n))
     assert list(got.window(0, n)) == expected
     assert expected[:7] == [1, -2, -1, 2, 1, 2, -2]
 
@@ -104,7 +103,7 @@ def test_inv_geometric_series():
 
 def test_inv_partition_series():
     # p(5) = 7: inverse of the Euler product against the recursive counter
-    assert inv(expand_f(1, 12)).window(0, 12) == naive_partition_counts(11)
+    assert inv(f_series(1, 12)).window(0, 12) == naive_partition_counts(11)
 
 
 def test_inv_requires_unit_leading():
@@ -115,7 +114,7 @@ def test_inv_requires_unit_leading():
 
 
 def test_pow_zero_and_square():
-    f1 = expand_f(1, 20)
+    f1 = f_series(1, 20)
     assert equal_to_order(power(f1, 0), one(20), 20)
     assert power(f1, 2).coeffs == mul(f1, f1).coeffs
 
@@ -124,7 +123,7 @@ def test_pow_negative_two():
     # 1/f1^2 counts pairs of partitions: convolve the recursive counts
     p = naive_partition_counts(10)
     pairs = naive_convolution(p, p)
-    assert power(expand_f(1, 11), -2).window(0, 11) == pairs
+    assert power(f_series(1, 11), -2).window(0, 11) == pairs
     assert pairs[:3] == [1, 2, 5]
 
 
@@ -148,7 +147,7 @@ def test_reduce_mod_examples():
 
 
 def test_equal_to_order_requires_precision():
-    f1, f2 = expand_f(1, 10), expand_f(2, 10)
+    f1, f2 = f_series(1, 10), f_series(2, 10)
     assert not equal_to_order(f1, f2, 3)  # they differ at q^1
     with pytest.raises(InsufficientPrecision):
         equal_to_order(f1, f2, 11)
