@@ -86,13 +86,13 @@ def lhs_order(claim: IdentityClaim, n: int) -> int:
 
 
 def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:
-    """Expand both sides to order n (the left side to lhs_order) and compare."""
+    """Expand both sides to order n (the left to lhs_order), mod claim.modulus, and compare."""
     lhs_n = lhs_order(claim, n)
-    lhs = etaq.expand(claim.lhs, lhs_n)
+    lhs = etaq.expand(claim.lhs, lhs_n, claim.modulus)
     if claim.lhs_progression is not None:
         lhs = extract_progression(lhs, *claim.lhs_progression)
-    rhs = etaq.expand(claim.rhs, n)
-    mismatch = first_difference(lhs, rhs, n, modulus=claim.modulus)
+    rhs = etaq.expand(claim.rhs, n, claim.modulus)
+    mismatch = first_difference(lhs, rhs, n)
     return VerificationResult(
         name=claim.name,
         passed=mismatch is None,

@@ -299,6 +299,9 @@ def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
         raise UnsupportedModulus(
             f"modulus {modulus} outside the residue range (M <= 2^63, odd part <= 2^15)"
         )
+    c = monomial.coefficient % modulus
+    if c == 0:
+        return np.zeros(order, np.uint64)
     if two > 1 and odd > 1:
         # each part goes through this function, so traces show both paths
         a2 = residue_array(monomial, order, two)
@@ -313,7 +316,6 @@ def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
         out = _expand_factors_residue(monomial.factors, order, None) & np.uint64(modulus - 1)
     else:
         out = _expand_factors_residue(monomial.factors, order, modulus).copy()
-    c = monomial.coefficient % modulus
     if c != 1:
         # a power-of-two modulus divides 2^64, so the product may wrap
         out = out * np.uint64(c) % np.uint64(modulus)

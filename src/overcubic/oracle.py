@@ -58,17 +58,21 @@ def _counts_by_classes(n_max: int, even_colors: int, overline: bool) -> list[int
     return [go(0, n) for n in range(n_max + 1)]
 
 
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += x * b[j]
+    return out
+
+
 def _convolve_tables(base: list[int], k: int) -> list[int]:
-    acc = [1] + [0] * (len(base) - 1)
-    for _ in range(k):
-        nxt = [0] * len(base)
-        for i, a in enumerate(acc):
-            if not a:
-                continue
-            for j in range(len(base) - i):
-                nxt[i + j] += a * base[j]
-        acc = nxt
-    return acc
+    """base convolved with itself to k >= 1 factors, by repeated squaring."""
+    if k == 1:
+        return base
+    half = _convolve_tables(base, k // 2)
+    acc = _convolve(half, half)
+    return _convolve(acc, base) if k & 1 else acc
 
 
 def table(family: str, n_max: int, k: int = 1) -> list[int]:

@@ -214,20 +214,13 @@ def dilate(a: TruncatedSeries, m: int) -> TruncatedSeries:
     return TruncatedSeries.make(val, out + [0] * (m * a.order - val - len(out)), m * a.order)
 
 
-def first_difference(a, b, limit: int, modulus: int | None = None) -> int | None:
-    """Exponent of the first coefficient where a and b differ (optionally
-    mod `modulus`) below `limit`, or None if they agree."""
+def first_difference(a, b, limit: int) -> int | None:
+    """Exponent of the first coefficient where a and b differ below `limit`,
+    or None if they agree."""
     lo = min(a.valuation, b.valuation, limit)
-    wa = a.window(lo, limit)
-    wb = b.window(lo, limit)
-    if modulus is None:
-        for e, (x, y) in enumerate(zip(wa, wb)):
-            if x != y:
-                return lo + e
-    else:
-        for e, (x, y) in enumerate(zip(wa, wb)):
-            if (x - y) % modulus:
-                return lo + e
+    for e, (x, y) in enumerate(zip(a.window(lo, limit), b.window(lo, limit))):
+        if x != y:
+            return lo + e
     return None
 
 

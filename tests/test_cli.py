@@ -228,8 +228,14 @@ def test_verify_at_2_63_runs(capsys):
         ["expand", "--family", "overcubic-triple", "--mod", "4", "--order", "4000001"],
         ["expand", "--family", "overcubic-triple", "--order", "100000000"],
         ["coeffs", "--family", "overcubic-triple", "--indices", "50000000"],
+        ["coeffs", "--family", "overcubic-triple", "--coefficient", "0", "--indices", "4000000",
+         "--mod", "4"],
+        # the mod-32 claim's left side goes to 8 * 500001 + 0, above MAX_ORDER
+        ["identity", "--catalog", "identities/congruence_identities.json",
+         "--name", "overcubic-triple-8n-part-mod32", "--order", "500001"],
     ],
-    ids=["density", "scan", "expand", "expand-exact", "coeffs-exact"],
+    ids=["density", "scan", "expand", "expand-exact", "coeffs-exact", "coeffs-zero-coefficient",
+         "identity-mod"],
 )
 def test_order_ceiling_exits_two_at_once(capsys, argv):
     t0 = time.perf_counter()
@@ -305,10 +311,16 @@ BAD_INPUTS = {
     "expand-repeated-delta": (["expand", "--factors", "1:1,1:-1", "--order", "6"], None),
     # the enumeration ceiling is a constant, oracle.MAX_N
     "oracle-cap": (["oracle", "--family", "overcubic", "--max-n", "41", "--cap", "41"], None),
-    # dissect --mod takes the residue route, whose odd part stops at 2^15
+    # dissect --mod and identity claims with a modulus take the residue
+    # route, whose odd part stops at 2^15
     "dissect-mod-odd-part-above-2-15": (
         ["dissect", "--family", "overcubic", "--m", "2", "--j", "0", "--order", "10",
          "--mod", "1048577"], None
+    ),
+    "identity-modulus-odd-part-above-2-15": (
+        ["identity", "--catalog", "{file}"],
+        [{"name": "x", "lhs": {"sum": [{"factors": {"1": -1}}]},
+          "rhs": {"sum": [{"factors": {"1": -1}}]}, "modulus": 65537}],
     ),
 }
 
@@ -397,21 +409,29 @@ def test_missing_required_flag_exits_two(capsys, argv, flag):
     assert "the following arguments are required: " + flag in captured.err
 
 
+# argv, and the largest order an exact build may reach (None for no bound).
+# Identity claims with a modulus take the residue route, so in the
+# identity run only the four-term identity, which has none, builds
+# exactly, and only to --order.
 BUILD_COUNT_RUNS = [
-    ["paper-suite", "--theorem", "all", "--n-limit", "30", "--alpha-limit", "2",
-     "--order", "400"],
-    ["identity", "--catalog", "identities/congruence_identities.json", "--order", "200"],
+    (["paper-suite", "--theorem", "all", "--n-limit", "30", "--alpha-limit", "2",
+      "--order", "400"], None),
+    (["identity", "--catalog", "identities/congruence_identities.json", "--order", "200"], 200),
 ]
 
 
-@pytest.mark.parametrize("argv", BUILD_COUNT_RUNS, ids=["paper-suite-all", "identity"])
-def test_every_expansion_is_built_once_per_run(monkeypatch, capsys, argv):
+@pytest.mark.parametrize("argv,exact_cap", BUILD_COUNT_RUNS, ids=["paper-suite-all", "identity"])
+def test_every_expansion_is_built_once_per_run(monkeypatch, capsys, argv, exact_cap):
     builds = []
+    exact_orders = []
     cached = etaq._cached
 
     def recording(cache, key, n, build):
         def counted(limit):
-            builds.append(("exact" if cache is etaq._exact_cache else "residue", key))
+            kind = "exact" if cache is etaq._exact_cache else "residue"
+            builds.append((kind, key))
+            if kind == "exact":
+                exact_orders.append(limit)
             return build(limit)
 
         return cached(cache, key, n, counted)
@@ -422,6 +442,8 @@ def test_every_expansion_is_built_once_per_run(monkeypatch, capsys, argv):
     assert main(argv) == 0
     capsys.readouterr()
     assert builds and len(builds) == len(set(builds)), sorted(builds)
+    if exact_cap is not None:
+        assert exact_orders and max(exact_orders) <= exact_cap, exact_orders
 
 
 def test_module_entry_point_runs():

@@ -14,7 +14,7 @@ from overcubic.dissect import (
 )
 from overcubic.errors import NegativeValuation
 from overcubic.etaq import Family, FMonomial, expand, family_monomial
-from overcubic.series import equal_to_order, inv, reduce_mod
+from overcubic.series import equal_to_order, first_difference, inv, reduce_mod
 
 TRIPLE = family_monomial(Family("overcubic-triple"))
 
@@ -143,3 +143,31 @@ def test_verify_identity_mod_distinguishes_exact():
         }
     )
     assert not verify_identity(claim, 150).passed
+
+
+def _frobenius_claim(p, c, r, d, modulus):
+    """c*P*f_d^(p*r) against c*P*f_(pd)^r, which agree mod p because
+    (1 - x)^p == 1 - x^p (mod p).  Below q^d both sides agree exactly; at
+    q^d they differ by -c*p*r, so mod p^2 (or 36 for p = 3) with p not
+    dividing c*r the first violation is exactly d."""
+    P = {1: -3, 5: 2, 7: -1}
+    lhs = FMonomial.make(c, 0, {**P, d: P.get(d, 0) + p * r})
+    rhs = FMonomial.make(c, 0, {**P, p * d: P.get(p * d, 0) + r})
+    return IdentityClaim(f"frobenius p={p} d={d} r={r}", (lhs,), (rhs,), modulus=modulus)
+
+
+# (p, modulus, c, r, d): the word ring (a power of two), an odd ring, a CRT ring
+FROBENIUS_RINGS = [(2, 4, 5, -1, 3), (3, 9, 2, 2, 2), (3, 36, 5, -1, 4)]
+
+
+@pytest.mark.parametrize(
+    "p,modulus,c,r,d", FROBENIUS_RINGS, ids=["word-mod-4", "odd-mod-9", "crt-mod-36"]
+)
+def test_frobenius_control_fails_at_d_on_every_residue_ring(p, modulus, c, r, d):
+    n = 80
+    control = _frobenius_claim(p, c, r, d, modulus)
+    reference = [reduce_mod(expand(side, n), modulus) for side in (control.lhs, control.rhs)]
+    assert first_difference(*reference, n) == d
+    result = verify_identity(control, n)
+    assert not result.passed and result.first_violation == d
+    assert verify_identity(_frobenius_claim(p, c, r, d, p), n).passed

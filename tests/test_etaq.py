@@ -162,6 +162,16 @@ def test_residue_array_rejects_bad_inputs():
         expand(FMonomial.make(qpower=50, factors={1: -3}), 40, 3 << 62)
 
 
+@pytest.mark.parametrize("coefficient,modulus", [(4, 4), (-8, 4), (12, 12), (36, 12)])
+def test_coefficient_zero_mod_m_builds_nothing(monkeypatch, coefficient, modulus):
+    def no_build(*args):
+        raise AssertionError("built a series that the coefficient zeroes")
+
+    monkeypatch.setattr(etaq, "_expand_factors_residue", no_build)
+    out = residue_array(FMonomial(coefficient, 0, TRIPLE.factors), 200_000, modulus)
+    assert out.dtype == "uint64" and out.shape == (200_000,) and not out.any()
+
+
 # -- theta series ---------------------------------------------------------------
 
 

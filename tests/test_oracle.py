@@ -1,4 +1,5 @@
 import ast
+import time
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,22 @@ def test_series_coefficients_equal_enumeration(family, k):
     n_max = oracle.MAX_N
     series = expand(family_monomial(Family(family, k)), n_max + 1)
     assert series.window(0, n_max + 1) == oracle.table(family, n_max, k)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_ktuple_table_is_the_k_fold_convolution(k):
+    base = oracle.table("overcubic", 20)
+    acc = [1] + [0] * 20
+    for _ in range(k):
+        acc = [sum(acc[i] * base[n - i] for i in range(n + 1)) for n in range(21)]
+    assert oracle.table("overcubic-ktuple", 20, k) == acc
+
+
+def test_large_k_table_is_fast():
+    t0 = time.perf_counter()
+    counts = oracle.table("overcubic-ktuple", oracle.MAX_N, 20000)
+    assert time.perf_counter() - t0 < 1.0
+    assert counts[1] == 2 * 20000  # one part 1, overlined or not, in one of k components
 
 
 def test_part_counter_rejects_unknown_family():
