@@ -40,7 +40,7 @@ class DensityReport:
                 {"X": x, "count": c, "delta": d, "delta_rounded": round(float(d), 6)}
                 for (x, c, d) in self.rows
             ],
-            "exceptions": list(self.exceptions) if self.exceptions is not None else None,
+            "exceptions": self.exceptions,  # JSON writes a tuple as a list
         }
 
     def to_csv(self) -> str:
@@ -64,7 +64,9 @@ def compute_density(
     x_grid: list[int],
 ) -> DensityReport:
     """Exact residue counts on each grid point; the exception list (indices
-    with a nonzero residue) is materialized only for residue 0."""
+    with a nonzero residue) is materialized only for residue 0.  Apart from
+    the residue array, no full-length array is built: hits are counted per
+    grid segment, and only the exceptions' indices are kept."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if not 0 <= residue < modulus:
@@ -74,13 +76,19 @@ def compute_density(
         raise ValueError("grid values must be >= 1")
     x_max = grid[-1]
     arr = etaq.residue_array(etaq.family_monomial(family), x_max + 1, modulus)
-    hit = arr[1:] == residue  # index 0 excluded
-    prefix = np.concatenate(([0], np.cumsum(hit)))
-    rows = tuple((x, int(prefix[x]), Fraction(int(prefix[x]), x)) for x in grid)
+    rows = []
+    count = 0
+    start = 1  # index 0 excluded
+    for x in grid:
+        count += int(np.count_nonzero(arr[start : x + 1] == residue))
+        rows.append((x, count, Fraction(count, x)))
+        start = x + 1
     exceptions = None
     if residue == 0:
-        exceptions = tuple(int(i) for i in np.nonzero(arr[1 : x_max + 1])[0] + 1)
-    return DensityReport(family.name, family.k, modulus, residue, rows, exceptions)
+        indices = np.flatnonzero(arr[1:])
+        indices += 1
+        exceptions = tuple(indices.tolist())
+    return DensityReport(family.name, family.k, modulus, residue, tuple(rows), exceptions)
 
 
 def squares_and_twice_squares(x: int) -> set[int]:

@@ -306,12 +306,20 @@ def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
         # each part goes through this function, so traces show both paths
         a2 = residue_array(monomial, order, two)
         ao = residue_array(monomial, order, odd)
-        # x = a2 + two * t with t = (ao - a2) * two^-1 mod odd.  Before its
-        # last reduction t is a product of factors below 2 * odd and odd,
-        # so below 2^31; x < two * odd = M < 2^63.  Nothing wraps.
-        inv_two = np.uint64(pow(two, -1, odd))
-        t = (ao + np.uint64(odd) - a2 % np.uint64(odd)) * inv_two % np.uint64(odd)
-        return a2 + np.uint64(two) * t
+        # x = a2 + two * t with t = (ao - a2) * two^-1 mod odd, computed in
+        # place in ao: both arrays are fresh, never a cache entry.  M = 0 mod
+        # odd, so ao + M - a2 = ao - a2 (mod odd); it lies in (0, M + odd),
+        # and M + odd <= 2^63 + 2^15, so adding before subtracting wraps
+        # nothing.  Reduced, t < odd <= 2^15 and t * two^-1 < 2^30; the
+        # result two * t + a2 <= two * (odd - 1) + two - 1 = M - 1.
+        ao += np.uint64(modulus)
+        ao -= a2
+        ao %= np.uint64(odd)
+        ao *= np.uint64(pow(two, -1, odd))
+        ao %= np.uint64(odd)
+        ao *= np.uint64(two)
+        ao += a2
+        return ao
     if odd == 1:
         out = _expand_factors_residue(monomial.factors, order, None) & np.uint64(modulus - 1)
     else:

@@ -11,6 +11,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Any
 
 
@@ -48,8 +49,21 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+# encoder chunks joined at a time: the indented encoder yields about one
+# chunk per scalar, and a chunk object is several times the size of its text
+_JSON_BATCH = 4096
+
+
 def to_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    """The text of json.dumps(payload, sort_keys=True, indent=2) plus a
+    newline.  The encoder's chunks are joined in fixed batches, so at most
+    one batch of chunk objects is alive beside the text built so far."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, default=_jsonable).iterencode(payload)
+    batches = []
+    while batch := list(islice(chunks, _JSON_BATCH)):
+        batches.append("".join(batch))
+    batches.append("\n")
+    return "".join(batches)
 
 
 CONGRUENCE_COLUMNS = (

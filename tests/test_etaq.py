@@ -2,6 +2,7 @@ import tracemalloc
 from fractions import Fraction
 from math import log, pi, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +171,18 @@ def test_coefficient_zero_mod_m_builds_nothing(monkeypatch, coefficient, modulus
     monkeypatch.setattr(etaq, "_expand_factors_residue", no_build)
     out = residue_array(FMonomial(coefficient, 0, TRIPLE.factors), 200_000, modulus)
     assert out.dtype == "uint64" and out.shape == (200_000,) and not out.any()
+
+
+def test_crt_residues_leave_the_cache_alone(monkeypatch):
+    monkeypatch.setattr(etaq, "_residue_cache", {})
+    first = residue_array(TRIPLE, 5000, 384)
+    second = residue_array(TRIPLE, 5000, 384)
+    assert np.array_equal(first, second)
+    for _, entry in etaq._residue_cache.values():
+        assert not np.shares_memory(first, entry) and not np.shares_memory(second, entry)
+    cached = [residue_array(TRIPLE, 5000, m) for m in (128, 3)]
+    etaq._residue_cache.clear()
+    assert all(np.array_equal(a, residue_array(TRIPLE, 5000, m)) for a, m in zip(cached, (128, 3)))
 
 
 # -- theta series ---------------------------------------------------------------

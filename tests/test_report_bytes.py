@@ -81,6 +81,10 @@ REPORTS = [
      "954f00cae6cdcde7f73a0325292a7929dcaf184dddd5dca59e0d22201789003e"),
     ("oracle --family opt-ktuple --k 5 --max-n 40", 0,
      "67c99723b248019adf3e6f8ecd8b1d5c58911813442a5689097f010a3fcbe923"),
+    # recorded while to_json joined every encoder chunk at once: 6,433
+    # exceptions span more than one batch of the batched join
+    ("density --family overcubic-triple --mod 384 --x-grid 1000,10000", 0,
+     "a1443715c066a0f88f7a5897109f687704a392dcd215d917c739b45da4a0dbc2"),
 ]
 
 
