@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import etaq
-from .dissect import extract_progression
+from .dissect import extract_progression, progression_order
 from .errors import InsufficientPrecision, UnsupportedBasis
 from .reporting import VerificationResult
 from .series import TruncatedSeries, add, constant, first_difference, mul
@@ -71,7 +71,7 @@ def base_order(cert: RaduCertificate, n: int) -> int:
     """Order of the base expansion whose dissected parts reach n past the prefactor's pole."""
     if n < 50:
         raise InsufficientPrecision("certificate checks below order 50 are vacuous")
-    return cert.m * (n + max(0, -cert.prefactor.qpower)) + max(cert.orbit)
+    return progression_order(cert.m, max(cert.orbit), n + max(0, -cert.prefactor.qpower))
 
 
 def verify_certificate(cert: RaduCertificate, n: int) -> VerificationResult:

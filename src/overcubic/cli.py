@@ -133,20 +133,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cfg = congruence.ScanConfig(
-        family=etaq.Family(args.family, args.k),
-        max_m=args.max_m,
-        moduli=tuple(_parse_ints(args.moduli)),
-        n_min=args.n_min,
-    )
-    claims = congruence.scan(cfg)
+    moduli = _parse_ints(args.moduli)
+    claims = congruence.scan(etaq.Family(args.family, args.k), args.max_m, moduli, args.n_min)
     parameters = {
-        "family": cfg.family.name,
-        "k": cfg.family.k,
-        "max_m": cfg.max_m,
-        "moduli": sorted(cfg.moduli),
-        "n_min": cfg.n_min,
-        "order": cfg.needed_order(),
+        "family": args.family,
+        "k": args.k,
+        "max_m": args.max_m,
+        "moduli": sorted(moduli),
+        "n_min": args.n_min,
+        "order": congruence.scan_order(args.max_m, args.n_min),
     }
     records = sorted((c.to_dict() for c in claims), key=lambda d: (d["m"], d["j"]))
     return _report(
@@ -156,8 +151,7 @@ def cmd_scan(args) -> int:
 
 def cmd_dissect(args) -> int:
     mon = _monomial_from_args(args)
-    base_order = args.m * args.order + args.j
-    base = etaq.expand(mon, base_order, args.mod)
+    base = etaq.expand(mon, dissect.progression_order(args.m, args.j, args.order), args.mod)
     part = dissect.extract_progression(base, args.m, args.j)
     return _report(
         args,
@@ -213,7 +207,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    etaq.Family(args.family, args.k)  # the name and k checks every command applies
+    etaq.Family(args.family, args.k)  # the k check every command applies
     table = oracle.table(args.family, args.max_n, args.k)
     rows = [{"n": n, "count": c} for n, c in enumerate(table)]
     return _report(
@@ -247,6 +241,11 @@ def _add_output_options(p, formats=("json", "csv")):
     p.add_argument("--output", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--job", help="JSON file of parameters; explicit flags override")
+
+
+def _add_family_options(p):
+    p.add_argument("--family", choices=sorted(catalogs.family_table()), required=True)
+    p.add_argument("--k", type=int, default=1, help="tuple length for parameterized families")
 
 
 def _add_monomial_options(p):
@@ -284,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("verify", help="check one congruence claim")
-    p.add_argument("--family", choices=sorted(catalogs.family_table()), required=True)
-    p.add_argument("--k", type=int, default=1)
+    _add_family_options(p)
     p.add_argument("--alpha", type=int, default=0, help="dilation exponent")
     p.add_argument("--progression", help="m,j", required=True)
     p.add_argument("--mod", type=int, required=True)
@@ -295,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="search progressions for the largest dividing modulus")
-    p.add_argument("--family", choices=sorted(catalogs.family_table()), required=True)
-    p.add_argument("--k", type=int, default=1)
+    _add_family_options(p)
     p.add_argument("--max-m", type=int, required=True)
     p.add_argument("--moduli", help="comma-separated candidate moduli", required=True)
     p.add_argument("--n-min", type=int, default=500)
@@ -326,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certificate)
 
     p = sub.add_parser("density", help="arithmetic density of a residue class")
-    p.add_argument("--family", choices=sorted(catalogs.family_table()), required=True)
-    p.add_argument("--k", type=int, default=1)
+    _add_family_options(p)
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--residue", type=int, default=0)
     p.add_argument("--x-grid", default="100,1000,10000")
@@ -335,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("oracle", help="enumeration counts (n, count) for audit")
-    p.add_argument("--family", required=True)
-    p.add_argument("--k", type=int, default=1)
+    _add_family_options(p)
     p.add_argument("--max-n", type=int, default=oracle.MAX_N)
     _add_output_options(p)
     p.set_defaults(func=cmd_oracle)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterable
 
 import numpy as np
 
@@ -120,54 +121,46 @@ def nonresidue_progressions(p: int, k: int) -> list[CongruenceClaim]:
 # discovery scans
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    family: etaq.Family
-    max_m: int
-    moduli: tuple[int, ...]
-    n_min: int = 500
-
-    def __post_init__(self):
-        if self.max_m < 1:
-            raise ValueError("max_m must be >= 1")
-        if self.n_min < 100:
-            raise ValueError("n_min must be >= 100 to avoid vacuous discoveries")
-        if not self.moduli:
-            raise ValueError("need at least one modulus")
-        if any(m < 2 for m in self.moduli):
-            raise ValueError("moduli must be >= 2")
-
-    def needed_order(self) -> int:
-        # doubled sample window for the stability check
-        return 2 * self.max_m * self.n_min + self.max_m
+def scan_order(max_m: int, n_min: int) -> int:
+    """Order of a scan's expansions: 2 * n_min samples of every progression
+    with m <= max_m, the doubled window of the stability check."""
+    return 2 * max_m * n_min + max_m
 
 
-def scan(cfg: ScanConfig) -> list[CongruenceClaim]:
-    """Report, for each progression (m <= max_m, j < m), the largest
-    configured modulus dividing every sampled coefficient.  A claim is kept
-    only when the winning modulus at n_min samples is unchanged at twice as
-    many, which suppresses truncation-order artifacts."""
-    order = cfg.needed_order()
-    mon = etaq.family_monomial(cfg.family)
-    moduli = sorted(set(cfg.moduli), reverse=True)
+def scan(
+    family: etaq.Family, max_m: int, moduli: Iterable[int], n_min: int = 500
+) -> list[CongruenceClaim]:
+    """Report, for each progression (m <= max_m, j < m), the largest of
+    `moduli` dividing every sampled coefficient.  A claim is kept only when
+    the winning modulus at n_min samples is unchanged at twice as many,
+    which suppresses truncation-order artifacts."""
+    moduli = sorted(set(moduli), reverse=True)
+    if max_m < 1:
+        raise ValueError("max_m must be >= 1")
+    if n_min < 100:
+        raise ValueError("n_min must be >= 100 to avoid vacuous discoveries")
+    if not moduli:
+        raise ValueError("need at least one modulus")
+    if any(M < 2 for M in moduli):
+        raise ValueError("moduli must be >= 2")
+    order = scan_order(max_m, n_min)
+    mon = etaq.family_monomial(family)
     arrays = {modulus: etaq.residue_array(mon, order, modulus) for modulus in moduli}
 
     def winning_modulus(indices: np.ndarray) -> int | None:
         return next((M for M in moduli if not np.any(arrays[M][indices])), None)
 
     found = []
-    for m in range(1, cfg.max_m + 1):
-        base = m * np.arange(2 * cfg.n_min, dtype=np.int64)
+    for m in range(1, max_m + 1):
+        base = m * np.arange(2 * n_min, dtype=np.int64)
         for j in range(m):
             indices = base + j
-            first = winning_modulus(indices[: cfg.n_min])
+            first = winning_modulus(indices[:n_min])
             if first is None:
                 continue
             if winning_modulus(indices) != first:
                 continue
-            found.append(
-                CongruenceClaim(cfg.family, m=m, j=j, modulus=first, status="discovered")
-            )
+            found.append(CongruenceClaim(family, m=m, j=j, modulus=first, status="discovered"))
     return found
 
 

@@ -74,15 +74,24 @@ class IdentityClaim:
             raise ValueError("modulus must be >= 2")
 
 
-def lhs_order(claim: IdentityClaim, n: int) -> int:
-    """Order of the left-side expansion, the largest of a check to order n:
-    far enough that the extracted progression still carries n coefficients."""
+def progression_order(m: int, j: int, n: int) -> int:
+    """Order m*n + j of the expansion whose progression (m, j) carries n
+    coefficients.  Refuses m < 1, j outside [0, m) and n < 1, so a caller
+    that asks for the order before it expands refuses before it builds."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not 0 <= j < m:
+        raise ValueError("progression offset must satisfy 0 <= j < m")
     if n < 1:
         raise ValueError("order must be >= 1")
-    if claim.lhs_progression is None:
-        return n
-    m, j = claim.lhs_progression
     return m * n + j
+
+
+def lhs_order(claim: IdentityClaim, n: int) -> int:
+    """Order of the left-side expansion, the largest of a check to order n:
+    far enough that the extracted progression still carries n coefficients.
+    A left side without a progression is the progression (1, 0)."""
+    return progression_order(*(claim.lhs_progression or (1, 0)), n)
 
 
 def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:

@@ -161,7 +161,9 @@ def largest_first(checks) -> list:
 
 
 def _factor_passes(delta: int, r: int, limit: int):
-    """Yield sparse term lists whose product is f_delta^|r|."""
+    """Yield sparse term lists whose product is f_delta^|r| below `limit`;
+    every exponent is below `limit`, so the passes, called with n = limit,
+    need no bound check."""
     cubes, rest = divmod(abs(r), 3)
     if cubes:
         terms = cube_terms(delta, limit)
@@ -176,8 +178,6 @@ def _factor_passes(delta: int, r: int, limit: int):
 def _mul_pass(acc: list[int], terms, n: int) -> list[int]:
     out = [0] * n
     for e, c in terms:
-        if e >= n:
-            break
         if c == 1:
             out[e:] = [x + y for x, y in zip(out[e:], acc)]
         elif c == -1:
@@ -222,8 +222,6 @@ def _np_terms(terms, wrap: int):
 def _np_mul_pass(acc: np.ndarray, exps, coefs, n: int, modulus: int | None) -> np.ndarray:
     out = np.zeros(n, dtype=np.uint64)
     for e, c in zip(exps.tolist(), coefs.tolist()):
-        if e >= n:
-            break
         out[e:] += np.uint64(c) * acc[: n - e]
     if modulus is not None:
         out %= np.uint64(modulus)

@@ -82,20 +82,8 @@ class TruncatedSeries:
             f" coeffs=[{shown}{more}])"
         )
 
-    def __add__(self, other):
+    def __add__(self, other):  # expand sums its terms with sum()
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1)
-
-    def __pow__(self, e: int):
-        return power(self, e)
 
 
 def zero(order: int) -> TruncatedSeries:

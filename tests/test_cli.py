@@ -322,6 +322,30 @@ BAD_INPUTS = {
         [{"name": "x", "lhs": {"sum": [{"factors": {"1": -1}}]},
           "rhs": {"sum": [{"factors": {"1": -1}}]}, "modulus": 65537}],
     ),
+    # dissect checks its progression and order before it expands
+    "dissect-offset-not-below-m": (
+        ["dissect", "--family", "overcubic-triple", "--m", "2", "--j", "5", "--order", "20000"],
+        None,
+    ),
+    "dissect-order-0": (
+        ["dissect", "--family", "overcubic-triple", "--m", "3", "--j", "1", "--order", "0"], None
+    ),
+    "coeffs-negative-index": (["coeffs", "--family", "overcubic", "--indices", "3,-1"], None),
+    "identity-unknown-name": (
+        ["identity", "--catalog", "identities/lemma_dissections.json", "--name", "nope"], None
+    ),
+    "identity-missing-catalog": (["identity", "--catalog", "{dir}/missing.json"], None),
+    "certificate-missing-file": (["certificate", "--cert", "{dir}/missing.json"], None),
+    "verify-mod-1": (
+        ["verify", "--family", "overcubic-triple", "--progression", "8,7", "--mod", "1",
+         "--n-limit", "10"], None
+    ),
+    "verify-negative-alpha": (
+        ["verify", "--family", "overcubic-triple", "--progression", "8,7", "--mod", "64",
+         "--n-limit", "10", "--alpha", "-1"], None
+    ),
+    "density-mod-1": (["density", "--family", "overcubic-triple", "--mod", "1"], None),
+    "oracle-unknown-family": (["oracle", "--family", "bogus"], None),
 }
 
 
@@ -364,6 +388,30 @@ def test_format_csv_is_refused_before_any_expansion(monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid choice: 'csv'" in captured.err
+
+
+@pytest.mark.parametrize("mod", [[], ["--mod", "4"]], ids=["exact", "mod"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--m", "0", "--j", "5", "--order", "20000"],
+        ["--m", "2", "--j", "5", "--order", "20000"],
+        ["--m", "2", "--j", "5", "--order", "1000000"],
+        ["--m", "2", "--j", "-1", "--order", "20000"],
+        ["--m", "3", "--j", "1", "--order", "0"],
+    ],
+    ids=["m-0", "j-above-m", "j-above-m-deep", "j-negative", "order-0"],
+)
+def test_dissect_refuses_a_bad_progression_before_any_expansion(monkeypatch, capsys, flags, mod):
+    def no_build(*args):
+        raise AssertionError("expanded before the progression check")
+
+    monkeypatch.setattr(etaq, "_expand_factors_exact", no_build)
+    monkeypatch.setattr(etaq, "_expand_factors_residue", no_build)
+    assert main(["dissect", "--family", "overcubic-triple", *flags, *mod]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 # the same monomial from a family and from its factors, with the same flags

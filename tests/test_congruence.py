@@ -102,47 +102,63 @@ def test_double_index_congruence_mod4():
 
 
 def test_scan_finds_the_known_progressions():
-    cfg = cg.ScanConfig(
-        Family("overcubic-triple"), max_m=8, moduli=(2, 4, 8, 16, 32, 64, 128), n_min=150
-    )
-    found = {(c.m, c.j): c.modulus for c in cg.scan(cfg)}
-    assert found[(8, 5)] == 32
-    assert found[(8, 7)] == 64
-    assert found[(4, 3)] == 4
-    assert (1, 0) not in found  # constant term 1 blocks the whole series
-    assert all(c.status == "discovered" for c in cg.scan(cfg))
+    found = cg.scan(Family("overcubic-triple"), 8, (2, 4, 8, 16, 32, 64, 128), n_min=150)
+    moduli = {(c.m, c.j): c.modulus for c in found}
+    assert moduli[(8, 5)] == 32
+    assert moduli[(8, 7)] == 64
+    assert moduli[(4, 3)] == 4
+    assert (1, 0) not in moduli  # constant term 1 blocks the whole series
+    assert all(c.status == "discovered" for c in found)
 
 
 def test_scan_ramanujan_classic():
-    cfg = cg.ScanConfig(Family("partition"), max_m=5, moduli=(5,), n_min=300)
-    assert {(c.m, c.j) for c in cg.scan(cfg)} == {(5, 4)}
+    assert {(c.m, c.j) for c in cg.scan(Family("partition"), 5, (5,), n_min=300)} == {(5, 4)}
 
 
 def test_scan_with_multiple_of_three_modulus():
-    cfg = cg.ScanConfig(
-        Family("overcubic-triple"), max_m=72, moduli=(2, 4, 8, 16, 32, 64, 128, 256, 384), n_min=100
+    found = cg.scan(
+        Family("overcubic-triple"), 72, (2, 4, 8, 16, 32, 64, 128, 256, 384), n_min=100
     )
-    found = {(c.m, c.j): c.modulus for c in cg.scan(cfg)}
-    assert found[(72, 21)] == 128
-    assert found[(72, 69)] == 384
+    moduli = {(c.m, c.j): c.modulus for c in found}
+    assert moduli[(72, 21)] == 128
+    assert moduli[(72, 69)] == 384
 
 
 def test_scan_rediscovers_at_doubled_sample():
-    cfg = cg.ScanConfig(
-        Family("overcubic-triple"), max_m=8, moduli=(4, 32, 64), n_min=150
-    )
-    first = {(c.m, c.j): c.modulus for c in cg.scan(cfg)}
-    bigger = cg.ScanConfig(
-        Family("overcubic-triple"), max_m=8, moduli=(4, 32, 64), n_min=300
-    )
-    second = {(c.m, c.j): c.modulus for c in cg.scan(bigger)}
+    family = Family("overcubic-triple")
+    first = {(c.m, c.j): c.modulus for c in cg.scan(family, 8, (4, 32, 64), n_min=150)}
+    second = {(c.m, c.j): c.modulus for c in cg.scan(family, 8, (4, 32, 64), n_min=300)}
     for key, modulus in first.items():
         assert second[key] == modulus
 
 
-def test_scan_config_validation():
-    with pytest.raises(ValueError):
-        cg.ScanConfig(Family("partition"), max_m=4, moduli=(5,), n_min=50)
+@pytest.mark.parametrize("tail,found", [(2, []), (0, [(1, 0, 4)])], ids=["unstable", "stable"])
+def test_scan_keeps_only_a_stable_winning_modulus(monkeypatch, tail, found):
+    # mod 2 every sample vanishes; mod 4 the first n_min do and the rest
+    # read `tail`, so a nonzero tail moves the winner from 4 to 2
+    n_min = 100
+
+    def residue_array(mon, order, modulus):
+        assert order == cg.scan_order(1, n_min)
+        arr = np.zeros(order, np.uint64)
+        if modulus == 4:
+            arr[n_min:] = tail
+        return arr
+
+    monkeypatch.setattr(etaq, "residue_array", residue_array)
+    claims = cg.scan(Family("partition"), 1, (2, 4), n_min)
+    assert [(c.m, c.j, c.modulus) for c in claims] == found
+
+
+def test_scan_config_validation(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a residue array was built")
+
+    monkeypatch.setattr(etaq, "residue_array", no_build)
+    # max_m below 1, n_min below 100, no modulus, a modulus below 2
+    for max_m, moduli, n_min in [(0, (5,), 300), (4, (5,), 50), (4, (), 300), (4, (5, 1), 300)]:
+        with pytest.raises(ValueError):
+            cg.scan(Family("partition"), max_m, moduli, n_min)
 
 
 # -- suites ----------------------------------------------------------------------

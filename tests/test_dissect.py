@@ -8,7 +8,9 @@ from overcubic.dissect import (
     claim_from_dict,
     extract_progression,
     interleave,
+    lhs_order,
     load_identity_catalog,
+    progression_order,
     verify_catalog,
     verify_identity,
 )
@@ -17,6 +19,28 @@ from overcubic.etaq import Family, FMonomial, expand, family_monomial
 from overcubic.series import equal_to_order, first_difference, inv, reduce_mod
 
 TRIPLE = family_monomial(Family("overcubic-triple"))
+
+
+def test_progression_order():
+    assert progression_order(8, 7, 40) == 327
+    assert progression_order(1, 0, 5) == 5
+    assert progression_order(3, 2, 1) == 5
+    # m < 1, j < 0, j >= m, n < 1
+    for m, j, n in [(0, 0, 5), (-2, 1, 5), (3, -1, 5), (3, 3, 5), (2, 5, 20000), (3, 1, 0),
+                    (3, 0, -4)]:
+        with pytest.raises(ValueError):
+            progression_order(m, j, n)
+
+
+def test_lhs_order_is_the_progression_order():
+    plain = IdentityClaim(name="plain", lhs=(TRIPLE,), rhs=(TRIPLE,))
+    dissected = IdentityClaim(name="dissected", lhs=(TRIPLE,), rhs=(TRIPLE,),
+                              lhs_progression=(4, 3))
+    assert lhs_order(plain, 100) == 100
+    assert lhs_order(dissected, 100) == 403
+    for claim in (plain, dissected):
+        with pytest.raises(ValueError):
+            lhs_order(claim, 0)
 
 
 def test_identity_dissection():
