@@ -4,6 +4,17 @@ An m-dissection splits a series by exponent class mod m; extracting the
 progression (m, j) keeps the coefficients at exponents m*n + j and
 reindexes them at q^n.  Identity claims compare a (possibly dissected)
 left side against a sum of f-monomials, exactly or modulo M.
+
+A claim without a progression is checked over its common f-product: with
+m_delta the least exponent of f_delta over every term of both sides (0
+for a term without f_delta), each term is expanded times
+u^-1 = prod f_delta^-m_delta.  Every exponent left is >= 0, so the
+expansion runs multiplication passes only.  u is 1 + O(q), a unit of
+Z[[q]] and of (Z/M)[[q]], and (L - R)/u has its first nonzero
+coefficient at the same exponent, with the same value, as L - R; so the
+verdict and the first violation are those of the stated sides.  A
+progression's left side keeps its own factors: it is the family build
+that the catalog progressions share.
 """
 from __future__ import annotations
 
@@ -94,13 +105,37 @@ def lhs_order(claim: IdentityClaim, n: int) -> int:
     return progression_order(*(claim.lhs_progression or (1, 0)), n)
 
 
+def over_common_product(
+    lhs: tuple[etaq.FMonomial, ...], rhs: tuple[etaq.FMonomial, ...]
+) -> tuple[tuple[etaq.FMonomial, ...], tuple[etaq.FMonomial, ...]]:
+    """Both sides divided by prod f_delta^m_delta, m_delta the least exponent
+    of f_delta over every term (0 for a term without it): no exponent left
+    is negative."""
+    terms = [dict(t.factors) for t in lhs + rhs]
+    least = {d: min(f.get(d, 0) for f in terms) for f in terms for d in f}
+
+    def divided(t: etaq.FMonomial) -> etaq.FMonomial:
+        factors = dict(t.factors)
+        return etaq.FMonomial.make(
+            t.coefficient, t.qpower, {d: factors.get(d, 0) - m for d, m in least.items()}
+        )
+
+    return tuple(map(divided, lhs)), tuple(map(divided, rhs))
+
+
 def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:
-    """Expand both sides to order n (the left to lhs_order), mod claim.modulus, and compare."""
+    """Expand both sides to order n (the left to lhs_order), mod claim.modulus,
+    and compare; a claim without a progression is expanded over its common
+    f-product (see the module docstring)."""
     lhs_n = lhs_order(claim, n)
-    lhs = etaq.expand(claim.lhs, lhs_n, claim.modulus)
-    if claim.lhs_progression is not None:
+    if claim.lhs_progression is None:
+        lhs_terms, rhs_terms = over_common_product(claim.lhs, claim.rhs)
+        lhs = etaq.expand(lhs_terms, n, claim.modulus)
+    else:
+        rhs_terms = claim.rhs
+        lhs = etaq.expand(claim.lhs, lhs_n, claim.modulus)
         lhs = extract_progression(lhs, *claim.lhs_progression)
-    rhs = etaq.expand(claim.rhs, n, claim.modulus)
+    rhs = etaq.expand(rhs_terms, n, claim.modulus)
     mismatch = first_difference(lhs, rhs, n)
     return VerificationResult(
         name=claim.name,

@@ -346,7 +346,17 @@ BAD_INPUTS = {
     ),
     "density-mod-1": (["density", "--family", "overcubic-triple", "--mod", "1"], None),
     "oracle-unknown-family": (["oracle", "--family", "bogus"], None),
+    # an exact claim is refused on the terms it builds, f2^6 and f1^6 over
+    # the common f-product f1^-6 f2^-6, before it allocates
+    "identity-exact-ceiling": (
+        ["identity", "--catalog", "{file}", "--order", "200000"],
+        [{"name": "x", "lhs": {"sum": [{"factors": {"1": -6}}]},
+          "rhs": {"sum": [{"factors": {"2": -6}}]}}],
+    ),
 }
+
+# rows whose message is pinned beyond "error:"
+BAD_INPUT_MESSAGES = {"identity-exact-ceiling": "above the exact-path ceiling"}
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -364,6 +374,7 @@ def test_bad_input_exits_two_with_a_message(tmp_path, capsys, case):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+    assert BAD_INPUT_MESSAGES.get(case, "") in captured.err
 
 
 @pytest.mark.parametrize(

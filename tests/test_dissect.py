@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ts
+from overcubic import etaq
 from overcubic.dissect import (
     IdentityClaim,
     claim_from_dict,
@@ -10,6 +11,7 @@ from overcubic.dissect import (
     interleave,
     lhs_order,
     load_identity_catalog,
+    over_common_product,
     progression_order,
     verify_catalog,
     verify_identity,
@@ -195,3 +197,89 @@ def test_frobenius_control_fails_at_d_on_every_residue_ring(p, modulus, c, r, d)
     result = verify_identity(control, n)
     assert not result.passed and result.first_violation == d
     assert verify_identity(_frobenius_claim(p, c, r, d, p), n).passed
+
+
+# -- identities over their common f-product --------------------------------------
+
+
+def test_common_product_leaves_no_negative_exponent():
+    lhs = (FMonomial.make(1, 0, {1: -2}),)
+    rhs = (FMonomial.make(1, 0, {2: -5, 8: 5}), FMonomial.make(2, 1, {2: -5, 4: 2, 8: -1}))
+    new_lhs, new_rhs = over_common_product(lhs, rhs)
+    # m_1 = -2, m_2 = -5, m_4 = 0, m_8 = -1: each term times f1^2 f2^5 f8
+    assert new_lhs == (FMonomial.make(1, 0, {2: 5, 8: 1}),)
+    assert new_rhs == (FMonomial.make(1, 0, {1: 2, 8: 6}), FMonomial.make(2, 1, {1: 2, 4: 2}))
+    # a factor every term carries to a positive power is divided out as well
+    shared = over_common_product(
+        (FMonomial.make(3, 0, {1: 2, 2: 1}),), (FMonomial.make(1, 2, {1: 3}),)
+    )
+    assert shared == ((FMonomial.make(3, 0, {2: 1}),), (FMonomial.make(1, 2, {1: 1}),))
+
+
+def _term():
+    return st.builds(
+        FMonomial.make,
+        st.integers(-3, 3),
+        st.integers(0, 2),
+        st.dictionaries(st.integers(1, 12), st.integers(-6, 6), max_size=3),
+    )
+
+
+def _side():
+    return st.lists(_term(), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _frobenius_positive(draw):
+    """c*P*f_d^(p^l*r) == c*P*f_(pd)^(p^(l-1)*r) (mod p^l), true because
+    (1 - x)^p == 1 - x^p (mod p), and a == b (mod p) gives a^p == b^p
+    (mod p^2)."""
+    p, level = draw(st.sampled_from([(2, 1), (2, 2), (3, 2)]))
+    c = draw(st.sampled_from([c for c in range(-3, 4) if c % p]))
+    r = draw(st.sampled_from([-2, -1, 1, 2]))
+    d = draw(st.integers(1, 4))
+    P = draw(st.dictionaries(st.integers(1, 12), st.integers(-6, 6), max_size=3))
+    q = draw(st.integers(0, 2))
+
+    def term(delta, e):
+        return (FMonomial.make(c, q, {**P, delta: P.get(delta, 0) + e}),)
+
+    modulus = p**level
+    return term(d, modulus * r), term(p * d, modulus // p * r), modulus, True
+
+
+_random_claim = st.tuples(
+    _side(), _side(), st.sampled_from([None, 2, 4, 9, 36, 384]), st.just(False)
+)
+
+
+@given(st.one_of(_random_claim, _frobenius_positive()), st.integers(1, 300))
+@settings(deadline=None, max_examples=200)
+def test_common_product_keeps_the_verdict_of_the_stated_sides(claim, n):
+    lhs, rhs, modulus, holds = claim
+    result = verify_identity(IdentityClaim("random", lhs, rhs, modulus=modulus), n)
+    stated = [expand(side, n) for side in (lhs, rhs)]
+    if modulus is not None:
+        stated = [reduce_mod(s, modulus) for s in stated]
+    mismatch = first_difference(*stated, n)
+    assert (result.passed, result.first_violation) == (mismatch is None, mismatch)
+    assert result.passed or not holds
+
+
+def test_identity_catalogs_verify_without_a_division_pass(monkeypatch):
+    def no_division(*args):
+        raise AssertionError("division pass on the identity path")
+
+    monkeypatch.setattr(etaq, "_div_pass", no_division)
+    monkeypatch.setattr(etaq, "_np_div_pass", no_division)
+    monkeypatch.setattr(etaq, "_exact_cache", {})
+    monkeypatch.setattr(etaq, "_residue_cache", {})
+    claims = [
+        *load_identity_catalog("identities/lemma_dissections.json"),
+        *load_identity_catalog("identities/theta_dissections.json"),
+    ]
+    assert all(r.passed for r in verify_catalog(claims, 400))
+    # mod 9 the Frobenius control first fails at q^d; mod 3 it holds
+    control = verify_identity(_frobenius_claim(3, 2, 2, 2, 9), 80)
+    assert (control.passed, control.first_violation) == (False, 2)
+    assert verify_identity(_frobenius_claim(3, 2, 2, 2, 3), 80).passed

@@ -85,6 +85,10 @@ REPORTS = [
     # exceptions span more than one batch of the batched join
     ("density --family overcubic-triple --mod 384 --x-grid 1000,10000", 0,
      "a1443715c066a0f88f7a5897109f687704a392dcd215d917c739b45da4a0dbc2"),
+    # recorded while claims without a progression expanded their stated
+    # sides, division passes included
+    ("identity --catalog identities/lemma_dissections.json --order 500", 0,
+     "cadabd070f04b6d77c83c708e9836ac5ef8c61eef8e9d1dad0a5d380752bb583"),
 ]
 
 
