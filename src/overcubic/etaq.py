@@ -5,13 +5,13 @@ The expansion engine works factor by factor: multiplying or dividing by a
 single f_delta uses its pentagonal-number expansion (all coefficients in
 {-1, 0, 1}), and cubes f_delta^3 use the classical sparse expansion with
 coefficients +-(2k+1), which cuts the number of passes for large
-exponents roughly by three.  Exact expansions carry Python integers; the
-residue path carries numpy uint64 words, either wrapping naturally mod
-2^64 (exact for any power-of-two modulus up to 2^63) or reduced mod a
-small odd modulus after every pass.  expand is the one series entry
-point, exact or mod M.  residue_array, the array primitive under its
-residue route, splits a modulus into those two parts and recombines
-them by CRT.
+exponents roughly by three.  One multiply pass, one divide pass and one
+memo serve three coefficient rings: Z, as Python integers in object
+arrays; Z/2^64, as uint64 words that wrap (exact for any power-of-two
+modulus up to 2^63); and Z/M for a small odd M, as uint64 reduced after
+every pass.  expand is the one series entry point, exact or mod M.
+residue_array, the array primitive under its residue route, splits a
+modulus into its power-of-two and odd parts and recombines them by CRT.
 """
 from __future__ import annotations
 
@@ -31,23 +31,37 @@ from .series import TruncatedSeries, reduce_mod, zero
 MAX_ORDER = 4_000_000
 
 # Ceiling on the estimated peak bytes of one exact expansion, checked before
-# it allocates.  The saddle-point bound [q^n]F <= F(x)/x^n on the majorant of
-# prod f_delta^r_delta (log F(e^-t) <= pi^2 sum |r_delta| / (6 delta t))
-# gives log2 |a(n)| <= pi*sqrt(2cn/3)/ln 2 with c = sum |r_delta|/delta, and
-# every partial product obeys it too.  A Python int of b bits takes at most
-# 32 + b/7.5 bytes and a list slot 8 more.  A mul pass holds the accumulator,
-# its output and the new slice it writes into the output (three lists of
-# ints) and the old slice it reads (a fourth list of slots), so a build
-# below n is estimated at n * (bits/2.5 + 128) bytes (exact_bytes).  The cap
-# admits the triple family to order 93,832; `coeffs --family overcubic-triple
-# --indices 93831` took 35 s cold at 114 MB peak RSS on a 2-core machine.
+# it allocates.  For r < 0, f_delta^r has nonnegative coefficients; for r > 0
+# it is majorized by prod (1 + q^(delta k))^r.  At q = e^-t their logs are at
+# most pi^2 |r| / (6 delta t) and pi^2 r / (12 delta t).  The saddle-point
+# bound [q^n]F <= F(x)/x^n then gives log2 |a(n)| <= pi*sqrt(2cn/3)/ln 2 with
+# c = sum_{r<0} |r|/delta + sum_{r>0} r/(2 delta), and every partial product
+# of a build obeys it too.  A Python int of b bits takes at most 32 + b/7.5
+# bytes and an array slot 8 more.  A mul pass holds the accumulator, its
+# output and the scaled slice it adds into the output (three object arrays
+# of ints), and the caller's list copy adds a fourth array of slots, so a
+# build below n is estimated at n * (bits/2.5 + 128) bytes (exact_bytes).
+# The cap admits the triple family to order 95,207; `coeffs --family
+# overcubic-triple --indices 95206` took 33 s cold at 118 MB peak RSS on a
+# 2-core machine.
 MAX_EXACT_BYTES = 1 << 27
 
-# Bound on the odd part of a residue modulus.  A mul pass sums up to
-# #terms products, each below (m-1)^2, in one uint64 before it reduces, and
-# a div pass takes a dot product of the same size; with m <= 2^15 and
-# #terms < MAX_ORDER < 2^22 those sums stay below 2^52 < 2^64.
-# _expand_factors_residue asserts the bound once per build.
+# Ceiling on the work of one build, in any ring, checked before its first
+# pass.  f_delta^r takes about |r|/3 passes whatever the order, and each pass
+# costs time in proportion to the order plus a fixed charge (its term
+# arrays, its slices and the interpreter's per-pass overhead), so a build of
+# P passes below n is charged P * (n + PASS_CHARGE).  The cap admits the
+# triple at MAX_ORDER (4 passes) and the 3001-tuple's 4004 passes at order
+# 808; it refuses f1^3000000 even at order 10.
+PASS_CHARGE = 4096
+MAX_PASS_WORK = 1 << 26
+
+# The word ring Z/2^64, and the bound on the odd part of a residue modulus.
+# A mul pass sums up to #terms products, each below (m-1)^2, in one uint64
+# before it reduces, and a div pass takes a dot product of the same size;
+# with m <= 2^15 and #terms < MAX_ORDER < 2^22 those sums stay below
+# 2^52 < 2^64.  _expand_factors asserts the bound once per odd build.
+WORD = 1 << 64
 _SMALL_MODULUS_LIMIT = 1 << 15
 
 
@@ -136,23 +150,23 @@ class FMonomial:
 # ---------------------------------------------------------------------------
 # expansion engine
 
-# longest expansion seen per key; shorter requests are served a prefix of it
-_exact_cache: dict = {}
-_residue_cache: dict = {}
+# longest expansion seen per (factors, ring); shorter requests are served a
+# prefix of it
+_memo: dict = {}
 
 
-def _cached(cache: dict, key, n: int, build):
-    hit = cache.get(key)
+def _cached(key, n: int, build):
+    hit = _memo.get(key)
     if hit is None or hit[0] < n:
-        hit = cache[key] = (n, build(n))
+        hit = _memo[key] = (n, build(n))
     return hit[1]
 
 
 def largest_first(checks) -> list:
     """Call the function of every (order, function) check, largest order
     first, and return their values in the given order.  A check's order is
-    the largest expansion it asks for.  The memos keep the longest build per
-    key and serve shorter requests a prefix, so a key first asked for at its
+    the largest expansion it asks for.  The memo keeps the longest build per
+    key and serves shorter requests a prefix, so a key first asked for at its
     largest order is built once."""
     values = [None] * len(checks)
     for i in sorted(range(len(checks)), key=lambda i: checks[i][0], reverse=True):
@@ -160,116 +174,79 @@ def largest_first(checks) -> list:
     return values
 
 
-def _factor_passes(delta: int, r: int, limit: int):
-    """Yield sparse term lists whose product is f_delta^|r| below `limit`;
-    every exponent is below `limit`, so the passes, called with n = limit,
-    need no bound check."""
-    cubes, rest = divmod(abs(r), 3)
-    if cubes:
-        terms = cube_terms(delta, limit)
-        for _ in range(cubes):
-            yield terms
-    if rest:
-        terms = pentagonal_terms(delta, limit)
-        for _ in range(rest):
-            yield terms
+def _unchanged(x):
+    # the reduction of Z, and of Z/2^64, whose uint64 words wrap by themselves
+    return x
 
 
-def _mul_pass(acc: list[int], terms, n: int) -> list[int]:
-    out = [0] * n
-    for e, c in terms:
-        if c == 1:
-            out[e:] = [x + y for x, y in zip(out[e:], acc)]
-        elif c == -1:
-            out[e:] = [x - y for x, y in zip(out[e:], acc)]
-        else:
-            out[e:] = [x + c * y for x, y in zip(out[e:], acc)]
-    return out
+def _mul_pass(acc: np.ndarray, exps: np.ndarray, coefs: np.ndarray, reduce) -> np.ndarray:
+    n = len(acc)
+    out = np.zeros_like(acc)
+    for e, c in zip(exps.tolist(), coefs):
+        out[e:] += c * acc[: n - e]
+    return reduce(out)
 
 
-def _div_pass(num: list[int], terms, n: int) -> list[int]:
-    # forward substitution for g with g * f = num; f has constant term 1
-    tail = [(e, c) for e, c in terms if e > 0]
-    g = list(num)
-    for i in range(1, n):
-        s = 0
-        for e, c in tail:
-            if e > i:
-                break
-            s += c * g[i - e]
-        if s:
-            g[i] -= s
-    return g
-
-
-def _expand_factors_exact(factors: tuple[tuple[int, int], ...], n: int) -> list[int]:
-    def build(limit):
-        acc = [1] + [0] * (limit - 1)
-        for delta, r in factors:
-            for terms in _factor_passes(delta, r, limit):
-                acc = _mul_pass(acc, terms, limit) if r > 0 else _div_pass(acc, terms, limit)
-        return acc
-
-    return _cached(_exact_cache, factors, n, build)[:n]
-
-
-def _np_terms(terms, wrap: int):
-    exps = np.array([e for e, _ in terms], dtype=np.int64)
-    coefs = np.array([c % wrap for _, c in terms], dtype=np.uint64)
-    return exps, coefs
-
-
-def _np_mul_pass(acc: np.ndarray, exps, coefs, n: int, modulus: int | None) -> np.ndarray:
-    out = np.zeros(n, dtype=np.uint64)
-    for e, c in zip(exps.tolist(), coefs.tolist()):
-        out[e:] += np.uint64(c) * acc[: n - e]
-    if modulus is not None:
-        out %= np.uint64(modulus)
-    return out
-
-
-def _np_div_pass(num: np.ndarray, exps, coefs, n: int, wrap: int) -> np.ndarray:
-    keep = exps > 0
-    es, cs = exps[keep], coefs[keep]
+def _div_pass(num: np.ndarray, exps: np.ndarray, coefs: np.ndarray, reduce) -> np.ndarray:
+    # forward substitution for g with g * f = num, where f = 1 - sum of
+    # coefs * q^exps over exps > 0 (the factor's tail, negated)
     g = num.copy()
-    if es.size == 0 or n <= 1:
-        return g
-    counts = np.searchsorted(es, np.arange(1, n), side="right")
-    for i in range(1, n):
-        k = counts[i - 1]
-        if k:
-            acc = int(g[i - es[:k]] @ cs[:k])
-            g[i] = (int(g[i]) - acc) % wrap
+    counts = np.searchsorted(exps, np.arange(1, len(g)), side="right")
+    with np.errstate(over="ignore"):  # a uint64 scalar sum that wraps is Z/2^64 arithmetic
+        for i in range(1, len(g)):
+            k = counts[i - 1]
+            if k:
+                g[i] = reduce(g[i] + g[i - exps[:k]] @ coefs[:k])
     return g
 
 
-def _expand_factors_residue(
-    factors: tuple[tuple[int, int], ...], n: int, modulus: int | None
-) -> np.ndarray:
-    """f-product coefficients as uint64: raw words (exact mod 2^64) when
-    modulus is None, else reduced mod the given small odd modulus."""
-
-    wrap = 1 << 64 if modulus is None else modulus
+def _expand_factors(factors: tuple[tuple[int, int], ...], n: int, ring: int | None) -> np.ndarray:
+    """Coefficients of prod f_delta^r below n over a ring: Python integers
+    in an object array for Z (ring None), uint64 words that wrap for
+    Z/2^64 (ring WORD), or uint64 reduced after every pass for Z/M with M
+    odd (ring M <= _SMALL_MODULUS_LIMIT).  f_delta^|r| takes |r| // 3 cube
+    passes and |r| % 3 pentagonal ones, multiplying for r > 0 and dividing
+    for r < 0; builds above MAX_PASS_WORK are refused before any pass."""
 
     def build(limit):
-        passes = [
-            (r > 0, _np_terms(terms, wrap))
-            for delta, r in factors
-            for terms in _factor_passes(delta, r, limit)
-        ]
-        if modulus is not None:
-            widest = max((len(exps) for _, (exps, _) in passes), default=0)
-            assert widest * (modulus - 1) ** 2 < 1 << 64, "uint64 pass sums would wrap"
-        acc = np.zeros(limit, dtype=np.uint64)
+        passes = sum(sum(divmod(abs(r), 3)) for _, r in factors)
+        if passes * (limit + PASS_CHARGE) > MAX_PASS_WORK:
+            raise InsufficientPrecision(
+                f"expansion of {passes} passes to order {limit} is above the"
+                f" pass-work ceiling {MAX_PASS_WORK}"
+            )
+        if ring is None or ring == WORD:
+            reduce = _unchanged
+        else:
+            # a pass sums at most `limit` products below (ring-1)^2 before it reduces
+            assert limit * (ring - 1) ** 2 < WORD, "uint64 pass sums would wrap"
+            modulus = np.uint64(ring)
+
+            def reduce(x):
+                x %= modulus  # in place for a pass's output, by value for a scalar
+                return x
+
+        dtype = object if ring is None else np.uint64
+        acc = np.zeros(limit, dtype)
         acc[0] = 1
-        for is_mul, (exps, coefs) in passes:
-            if is_mul:
-                acc = _np_mul_pass(acc, exps, coefs, limit, modulus)
-            else:
-                acc = _np_div_pass(acc, exps, coefs, limit, wrap)
+        for delta, r in factors:
+            cubes, rest = divmod(abs(r), 3)
+            for count, make in ((cubes, cube_terms), (rest, pentagonal_terms)):
+                if not count:
+                    continue
+                terms = make(delta, limit)
+                if r > 0:
+                    step = _mul_pass
+                else:
+                    step = _div_pass
+                    terms = [(e, -c) for e, c in terms if e > 0]
+                exps = np.array([e for e, _ in terms], dtype=np.int64)
+                coefs = np.array([c if ring is None else c % ring for _, c in terms], dtype)
+                for _ in range(count):
+                    acc = step(acc, exps, coefs, reduce)
         return acc
 
-    return _cached(_residue_cache, (factors, modulus), n, build)[:n]
+    return _cached((factors, ring), n, build)[:n]
 
 
 def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
@@ -319,9 +296,9 @@ def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
         ao += a2
         return ao
     if odd == 1:
-        out = _expand_factors_residue(monomial.factors, order, None) & np.uint64(modulus - 1)
+        out = _expand_factors(monomial.factors, order, WORD) & np.uint64(modulus - 1)
     else:
-        out = _expand_factors_residue(monomial.factors, order, modulus).copy()
+        out = _expand_factors(monomial.factors, order, modulus).copy()
     if c != 1:
         # a power-of-two modulus divides 2^64, so the product may wrap
         out = out * np.uint64(c) % np.uint64(modulus)
@@ -335,7 +312,7 @@ def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
 def exact_bytes(factors: tuple[tuple[int, int], ...], n: int) -> float:
     """Estimated peak bytes of the exact build of prod f_delta^r below n,
     the figure MAX_EXACT_BYTES bounds."""
-    c = sum(abs(r) / delta for delta, r in factors)
+    c = sum((-r if r < 0 else r / 2) / delta for delta, r in factors)
     return n * (pi * sqrt(2 * c * n / 3) / log(2) / 2.5 + 128)
 
 
@@ -350,8 +327,8 @@ def expand_monomial(m: FMonomial, n: int) -> list[int]:
             f"exact expansion to order {n} needs about {size:.3g} bytes,"
             f" above the exact-path ceiling {MAX_EXACT_BYTES}"
         )
-    coeffs = _expand_factors_exact(m.factors, length)
-    return coeffs if m.coefficient == 1 else [m.coefficient * c for c in coeffs]
+    coeffs = _expand_factors(m.factors, length, None)
+    return (coeffs if m.coefficient == 1 else coeffs * m.coefficient).tolist()
 
 
 def expand(

@@ -34,7 +34,7 @@ TRIPLE = etaq.Family("overcubic-triple")
 
 
 def test_c1_theorem1_suite_exact_and_fast():
-    etaq._residue_cache.clear()  # time the cold path honestly
+    etaq._memo.clear()  # time the cold path honestly
     t0 = time.perf_counter()
     _, results = cg.run_suites(["1"], n_limit=1000)
     elapsed = time.perf_counter() - t0

@@ -353,10 +353,20 @@ BAD_INPUTS = {
         [{"name": "x", "lhs": {"sum": [{"factors": {"1": -6}}]},
           "rhs": {"sum": [{"factors": {"2": -6}}]}}],
     ),
+    # a build's passes grow with |r|, not with the order: refused before any
+    # pass, exactly and mod 3
+    "expand-exact-pass-work": (["expand", "--factors", "1:1000000000", "--order", "10"], None),
+    "expand-mod-pass-work": (
+        ["expand", "--factors", "1:3000000", "--order", "10", "--mod", "3"], None
+    ),
 }
 
 # rows whose message is pinned beyond "error:"
-BAD_INPUT_MESSAGES = {"identity-exact-ceiling": "above the exact-path ceiling"}
+BAD_INPUT_MESSAGES = {
+    "identity-exact-ceiling": "above the exact-path ceiling",
+    "expand-exact-pass-work": "above the pass-work ceiling",
+    "expand-mod-pass-work": "above the pass-work ceiling",
+}
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -391,8 +401,7 @@ def test_format_csv_is_refused_before_any_expansion(monkeypatch, capsys, argv):
     def no_build(*args):
         raise AssertionError("expanded before the usage error")
 
-    monkeypatch.setattr(etaq, "_expand_factors_exact", no_build)
-    monkeypatch.setattr(etaq, "_expand_factors_residue", no_build)
+    monkeypatch.setattr(etaq, "_expand_factors", no_build)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--format", "csv"])
     assert exc.value.code == 2
@@ -417,8 +426,7 @@ def test_dissect_refuses_a_bad_progression_before_any_expansion(monkeypatch, cap
     def no_build(*args):
         raise AssertionError("expanded before the progression check")
 
-    monkeypatch.setattr(etaq, "_expand_factors_exact", no_build)
-    monkeypatch.setattr(etaq, "_expand_factors_residue", no_build)
+    monkeypatch.setattr(etaq, "_expand_factors", no_build)
     assert main(["dissect", "--family", "overcubic-triple", *flags, *mod]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -485,19 +493,18 @@ def test_every_expansion_is_built_once_per_run(monkeypatch, capsys, argv, exact_
     exact_orders = []
     cached = etaq._cached
 
-    def recording(cache, key, n, build):
+    def recording(key, n, build):
         def counted(limit):
-            kind = "exact" if cache is etaq._exact_cache else "residue"
-            builds.append((kind, key))
-            if kind == "exact":
+            # the memo key is (factors, ring); ring None is Z, the exact route
+            builds.append(key)
+            if key[1] is None:
                 exact_orders.append(limit)
             return build(limit)
 
-        return cached(cache, key, n, counted)
+        return cached(key, n, counted)
 
     monkeypatch.setattr(etaq, "_cached", recording)
-    etaq._exact_cache.clear()
-    etaq._residue_cache.clear()
+    monkeypatch.setattr(etaq, "_memo", {})
     assert main(argv) == 0
     capsys.readouterr()
     assert builds and len(builds) == len(set(builds)), sorted(builds)

@@ -193,7 +193,7 @@ def test_suite_checks_its_largest_order_before_building(monkeypatch):
     def no_build(*args):
         raise AssertionError("a residue array was built")
 
-    monkeypatch.setattr(etaq, "_expand_factors_residue", no_build)
+    monkeypatch.setattr(etaq, "_expand_factors", no_build)
     with pytest.raises(InsufficientPrecision):
         cg.run_suites(["conjecture-2"], alpha_limit=12)
 

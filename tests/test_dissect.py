@@ -271,9 +271,7 @@ def test_identity_catalogs_verify_without_a_division_pass(monkeypatch):
         raise AssertionError("division pass on the identity path")
 
     monkeypatch.setattr(etaq, "_div_pass", no_division)
-    monkeypatch.setattr(etaq, "_np_div_pass", no_division)
-    monkeypatch.setattr(etaq, "_exact_cache", {})
-    monkeypatch.setattr(etaq, "_residue_cache", {})
+    monkeypatch.setattr(etaq, "_memo", {})
     claims = [
         *load_identity_catalog("identities/lemma_dissections.json"),
         *load_identity_catalog("identities/theta_dissections.json"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import f_series, naive_euler_product
+from conftest import f_series, naive_euler_product, ts
 from overcubic import etaq, oracle
 from overcubic.errors import NonIntegerWeight, UnsupportedModulus
 from overcubic.etaq import (
@@ -22,7 +22,17 @@ from overcubic.etaq import (
     residue_array,
     sellers_product,
 )
-from overcubic.series import add, dilate, equal_to_order, power, reduce_mod, scale, shift
+from overcubic.series import (
+    add,
+    dilate,
+    equal_to_order,
+    mul,
+    one,
+    power,
+    reduce_mod,
+    scale,
+    shift,
+)
 
 TRIPLE = FMonomial.make(factors={4: 3, 1: -6, 2: -3})
 SINGLE = FMonomial.make(factors={4: 1, 1: -2, 2: -1})
@@ -121,15 +131,35 @@ def test_residue_expansion_agrees_with_exact(terms, n, modulus):
 
 @given(
     st.dictionaries(
+        st.integers(min_value=1, max_value=12), st.integers(min_value=-6, max_value=6), max_size=4
+    ),
+    st.integers(min_value=1, max_value=200),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_ring_matches_naive_euler_products(factors, n):
+    # an outside reference for the pass loop: each f_delta multiplied out one
+    # binomial at a time, powered and multiplied by the schoolbook operators
+    ref = one(n)
+    for delta, r in factors.items():
+        ref = mul(ref, power(ts(naive_euler_product(delta, n)), r))
+    m = FMonomial.make(factors=factors)
+    assert expand(m, n).window(0, n) == ref.window(0, n)
+    for modulus in (2, 3, 384, 1 << 63):
+        assert expand(m, n, modulus).window(0, n) == reduce_mod(ref, modulus).window(0, n)
+
+
+@given(
+    st.dictionaries(
         st.integers(min_value=1, max_value=16), st.integers(min_value=-7, max_value=7), max_size=4
     ),
     st.integers(min_value=1, max_value=400),
 )
 @settings(max_examples=200, deadline=None)
 def test_coefficients_obey_the_exact_ceiling_bound(factors, n):
-    # log2 |a(i)| <= pi * sqrt(2ci/3) / ln 2 with c = sum |r| / delta, the
-    # saddle-point bound the exact-path ceiling is stated with
-    c = sum(abs(r) / d for d, r in factors.items())
+    # log2 |a(i)| <= pi * sqrt(2ci/3) / ln 2 with c = sum |r| / delta over
+    # r < 0 and sum r / (2 delta) over r > 0, the saddle-point bound the
+    # exact-path ceiling is stated with
+    c = sum((-r if r < 0 else r / 2) / d for d, r in factors.items())
     coeffs = expand(FMonomial.make(factors=factors), n).window(0, n)
     for i, a in enumerate(coeffs):
         assert a.bit_length() <= pi * sqrt(2 * c * i / 3) / log(2) + 1
@@ -140,11 +170,18 @@ PREFACTOR = FMonomial.make(1, -15, {1: 69, 4: 30, 2: -29, 8: -64})
 
 
 @pytest.mark.parametrize(
-    "m,n", [(TRIPLE, 2000), (FMonomial.make(factors={1: -1}), 2000), (PREFACTOR, 300)],
-    ids=["triple", "f1^-1", "prefactor"],
+    "m,n",
+    [
+        (TRIPLE, 2000),
+        (FMonomial.make(factors={1: -1}), 2000),
+        (PREFACTOR, 300),
+        (FMonomial.make(factors={1: 6, 2: 6}), 5000),
+        (FMonomial.make(factors={1: 1}), 20_000),
+    ],
+    ids=["triple", "f1^-1", "prefactor", "f1^6*f2^6", "f1"],
 )
 def test_exact_ceiling_estimate_bounds_the_peak(monkeypatch, m, n):
-    monkeypatch.setattr(etaq, "_exact_cache", {})
+    monkeypatch.setattr(etaq, "_memo", {})
     tracemalloc.start()
     try:
         expand(m, n)
@@ -168,20 +205,20 @@ def test_coefficient_zero_mod_m_builds_nothing(monkeypatch, coefficient, modulus
     def no_build(*args):
         raise AssertionError("built a series that the coefficient zeroes")
 
-    monkeypatch.setattr(etaq, "_expand_factors_residue", no_build)
+    monkeypatch.setattr(etaq, "_expand_factors", no_build)
     out = residue_array(FMonomial(coefficient, 0, TRIPLE.factors), 200_000, modulus)
     assert out.dtype == "uint64" and out.shape == (200_000,) and not out.any()
 
 
 def test_crt_residues_leave_the_cache_alone(monkeypatch):
-    monkeypatch.setattr(etaq, "_residue_cache", {})
+    monkeypatch.setattr(etaq, "_memo", {})
     first = residue_array(TRIPLE, 5000, 384)
     second = residue_array(TRIPLE, 5000, 384)
     assert np.array_equal(first, second)
-    for _, entry in etaq._residue_cache.values():
+    for _, entry in etaq._memo.values():
         assert not np.shares_memory(first, entry) and not np.shares_memory(second, entry)
     cached = [residue_array(TRIPLE, 5000, m) for m in (128, 3)]
-    etaq._residue_cache.clear()
+    etaq._memo.clear()
     assert all(np.array_equal(a, residue_array(TRIPLE, 5000, m)) for a, m in zip(cached, (128, 3)))
 
 
