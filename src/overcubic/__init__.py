@@ -26,5 +26,6 @@ from .etaq import (  # noqa: F401
 )
 from .dissect import IdentityClaim, extract_progression, interleave, verify_identity  # noqa: F401
 from .congruence import CongruenceClaim, run_suites, scan, verify_congruence  # noqa: F401
-from .certify import RaduCertificate, load_certificate, verify_certificate  # noqa: F401
+from .certify import RaduCertificate, verify_certificate  # noqa: F401
+from .catalogs import load_certificate  # noqa: F401
 from .density import DensityReport, compute_density, exception_structure_check  # noqa: F401

@@ -14,16 +14,14 @@ from math import gcd
 
 from . import etaq
 from .dissect import extract_progression, progression_order
-from .errors import InsufficientPrecision, UnsupportedBasis
+from .errors import InsufficientPrecision
 from .reporting import VerificationResult
 from .series import TruncatedSeries, add, constant, first_difference, mul
 
 
 @dataclass(frozen=True)
 class RaduCertificate:
-    """Data of one certificate; only the singleton basis ("1",) is
-    verifiable, but the field is kept so files with larger bases still
-    parse."""
+    """Data of one certificate over the singleton basis {1}."""
 
     name: str
     base: etaq.FMonomial
@@ -33,9 +31,10 @@ class RaduCertificate:
     hauptmodul: etaq.FMonomial
     polynomial: tuple[int, ...]  # ascending powers of t
     claimed_common_factor: int
-    basis: tuple[str, ...] = ("1",)
 
     def __post_init__(self):
+        if not self.polynomial:
+            raise ValueError("polynomial must be nonempty")
         if not self.orbit:
             raise ValueError("orbit must be nonempty")
         if any(not 0 <= j < self.m for j in self.orbit):
@@ -81,10 +80,6 @@ def verify_certificate(cert: RaduCertificate, n: int) -> VerificationResult:
     Required expansion orders are computed up front from the valuations of
     the prefactor and the Hauptmodul, so a certificate that cannot be
     checked at order n fails early instead of comparing junk."""
-    if cert.basis != ("1",):
-        raise UnsupportedBasis(
-            f"only the singleton basis ('1',) is supported, got {cert.basis!r}"
-        )
     base_n = base_order(cert, n)
     if not cert.factor_divides_polynomial():
         return VerificationResult(
@@ -137,31 +132,3 @@ def verify_certificate(cert: RaduCertificate, n: int) -> VerificationResult:
         },
         orders={"base": base_n, "prefactor": n, "hauptmodul": t_order},
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON format
-
-
-def certificate_from_dict(d: dict) -> RaduCertificate:
-    return RaduCertificate(
-        name=d["name"],
-        base=etaq.FMonomial.from_dict(d["base"]),
-        m=d["m"],
-        orbit=tuple(d["orbit"]),
-        prefactor=etaq.FMonomial.from_dict(d["prefactor"]),
-        hauptmodul=etaq.FMonomial.from_dict(d["hauptmodul"]),
-        polynomial=tuple(int(c) for c in d["polynomial"]),
-        claimed_common_factor=int(d["claimed_common_factor"]),
-        basis=tuple(d.get("basis", ["1"])),
-    )
-
-
-def load_certificate(ref) -> RaduCertificate:
-    from . import catalogs
-
-    data = catalogs.load(ref)
-    try:
-        return certificate_from_dict(data)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed certificate {ref}: {exc!r}") from exc

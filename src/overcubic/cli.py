@@ -85,8 +85,7 @@ def cmd_coeffs(args) -> int:
         indices = _parse_ints(args.indices)
     else:
         m, j = _parse_ints(args.progression)
-        if m < 1:  # a negative j fails the index check below
-            raise ValueError("--progression m,j needs m >= 1")
+        dissect.progression_order(m, j, args.n_limit + 1)  # the one progression rule
         indices = [m * n + j for n in range(args.n_limit + 1)]
     if not indices or min(indices) < 0:
         raise ValueError("indices must be nonnegative")
@@ -166,7 +165,7 @@ def cmd_dissect(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    claims = dissect.load_identity_catalog(args.catalog)
+    claims = catalogs.load_identity_catalog(args.catalog)
     if args.name:
         claims = [c for c in claims if c.name == args.name]
         if not claims:
@@ -182,7 +181,7 @@ def cmd_identity(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    cert = certify.load_certificate(args.cert)
+    cert = catalogs.load_certificate(args.cert)
     result = certify.verify_certificate(cert, args.order)
     return _report(
         args,
@@ -368,7 +367,8 @@ def main(argv=None) -> int:
         job = job_parser.parse_known_args(argv)[0].job
         args = build_parser().parse_args(_with_job(job, argv) if job else argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    # json.JSONDecodeError is a ValueError; JSON nested too deep raises RecursionError
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QSeriesError as exc:

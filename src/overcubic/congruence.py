@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import certify, density, dissect, etaq
+from . import catalogs, certify, density, dissect, etaq
 from .reporting import VerificationResult
 
 STATUSES = ("proved-in-paper", "conjectured", "discovered")
@@ -303,7 +303,7 @@ def _lacunary(n_limit, alpha_limit, order):
 
 def _dissections(n_limit, alpha_limit, order):
     n = 2000 if order is None else order
-    claims = [c for ref in _IDENTITY_CATALOGS for c in dissect.load_identity_catalog(ref)]
+    claims = [c for ref in _IDENTITY_CATALOGS for c in catalogs.load_identity_catalog(ref)]
     return {"order": n, "catalogs": list(_IDENTITY_CATALOGS)}, [
         (dissect.lhs_order(c, n), lambda c=c: [dissect.verify_identity(c, n)]) for c in claims
     ]
@@ -311,7 +311,7 @@ def _dissections(n_limit, alpha_limit, order):
 
 def _certificate(n_limit, alpha_limit, order):
     n = 300 if order is None else order
-    cert = certify.load_certificate("certs/bt_8n7.json")
+    cert = catalogs.load_certificate("certs/bt_8n7.json")
     check = (certify.base_order(cert, n), lambda: [certify.verify_certificate(cert, n)])
     return {"order": n}, [check]
 

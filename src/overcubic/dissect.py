@@ -78,9 +78,7 @@ class IdentityClaim:
 
     def __post_init__(self):
         if self.lhs_progression is not None:
-            m, j = self.lhs_progression
-            if not 0 <= j < m:
-                raise ValueError("progression offset must satisfy 0 <= j < m")
+            progression_order(*self.lhs_progression, 1)  # the one progression rule
         if self.modulus is not None and self.modulus < 2:
             raise ValueError("modulus must be >= 2")
 
@@ -153,42 +151,3 @@ def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:
 def verify_catalog(claims: Iterable[IdentityClaim], n: int) -> list[VerificationResult]:
     checks = [(lhs_order(c, n), partial(verify_identity, c, n)) for c in claims]
     return sorted(etaq.largest_first(checks), key=lambda r: r.name)
-
-
-# ---------------------------------------------------------------------------
-# JSON catalog format
-
-
-def _sum_from_list(items: list) -> tuple[etaq.FMonomial, ...]:
-    return tuple(etaq.FMonomial.from_dict(t) for t in items)
-
-
-def claim_from_dict(d: dict) -> IdentityClaim:
-    """Parse one catalog entry; a {"family": ...} left side becomes the
-    one-term sum of that family's monomial."""
-    lhs_spec = d["lhs"]
-    if "family" in lhs_spec:
-        f = lhs_spec["family"]
-        lhs = (etaq.family_monomial(etaq.Family(f["name"], f.get("k", 1))),)
-    else:
-        lhs = _sum_from_list(lhs_spec["sum"])
-    prog = d.get("lhs_progression")
-    return IdentityClaim(
-        name=d["name"],
-        lhs=lhs,
-        rhs=_sum_from_list(d["rhs"]["sum"]),
-        lhs_progression=tuple(prog) if prog else None,
-        modulus=d.get("modulus"),
-    )
-
-
-def load_identity_catalog(ref) -> list[IdentityClaim]:
-    from . import catalogs
-
-    entries = catalogs.load(ref)
-    if not isinstance(entries, list):
-        raise ValueError(f"identity catalog {ref} must hold a JSON list of identities")
-    try:
-        return [claim_from_dict(d) for d in entries]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed identity catalog {ref}: {exc!r}") from exc

@@ -21,10 +21,6 @@ class NonIntegerWeight(QSeriesError):
     """The lacunarity criterion applies to integer-weight eta quotients only."""
 
 
-class UnsupportedBasis(QSeriesError):
-    """Certificate verification supports only the singleton basis {1}."""
-
-
 class CapExceeded(QSeriesError):
     """Enumeration was asked for an n above oracle.MAX_N."""
 

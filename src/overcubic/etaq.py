@@ -15,7 +15,6 @@ modulus into its power-of-two and odd parts and recombines them by CRT.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log, pi, sqrt
@@ -23,7 +22,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import catalogs
 from .errors import InsufficientPrecision, NonIntegerWeight, UnsupportedModulus
 from .series import TruncatedSeries, reduce_mod, zero
 
@@ -129,13 +127,8 @@ class FMonomial:
         factors: Mapping[int, int] | Iterable[tuple[int, int]] = (),
     ) -> "FMonomial":
         items = factors.items() if isinstance(factors, Mapping) else factors
-        cleaned = sorted((int(d), int(r)) for d, r in items if int(r) != 0)
-        return cls(int(coefficient), int(qpower), tuple(cleaned))
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "FMonomial":
-        """Parse the catalog form {"coefficient", "qpower", "factors": {delta: r}}."""
-        return cls.make(d.get("coefficient", 1), d.get("qpower", 0), d.get("factors", {}))
+        cleaned = sorted((d, r) for d, r in items if r)
+        return cls(coefficient, qpower, tuple(cleaned))
 
     def __repr__(self):
         parts = []
@@ -467,41 +460,31 @@ def cotron_check(g: FMonomial, p: int) -> CriterionReport:
 
 @dataclass(frozen=True)
 class Family:
-    """A named generating function; k is the tuple length of the
-    parameterized families (a k-linear exponent in the catalog) and must be
-    1 for the others."""
+    """A named generating function; k is the tuple length of a tuple family,
+    whose catalog entry is one member's f-product, and must be 1 for the
+    others."""
 
     name: str
     k: int = 1
 
     def __post_init__(self):
+        from . import catalogs  # catalogs reads families into this module's types
+
         if self.k < 1:
             raise ValueError("k must be >= 1")
         entry = catalogs.family_table().get(self.name)
         if entry is None:
             known = ", ".join(sorted(catalogs.family_table()))
             raise ValueError(f"unknown family {self.name!r}; known: {known}")
-        if self.k != 1 and all(isinstance(r, int) for r in entry["factors"].values()):
+        if self.k != 1 and not entry[1]:
             raise ValueError(f"family {self.name!r} has no tuple length; k must be 1")
 
 
-_K_LINEAR = re.compile(r"^(-?\d*)k$")
-
-
-def _scaled_exponent(value, k: int) -> int:
-    if isinstance(value, int):
-        return value
-    m = _K_LINEAR.match(str(value).strip())
-    if not m:
-        raise ValueError(f"factor exponent {value!r} is neither an integer nor <int>k")
-    lead = m.group(1)
-    coeff = -1 if lead == "-" else 1 if lead == "" else int(lead)
-    return coeff * k
-
-
 def family_monomial(family: Family) -> FMonomial:
-    entry = catalogs.family_table()[family.name]
-    factors = {
-        int(d): _scaled_exponent(r, family.k) for d, r in entry["factors"].items()
-    }
-    return FMonomial.make(qpower=int(entry.get("qpower", 0)), factors=factors)
+    """The family's monomial; for a tuple family, its member to the k-th power."""
+    from . import catalogs
+
+    member, _ = catalogs.family_table()[family.name]
+    k = family.k
+    factors = [(d, r * k) for d, r in member.factors]
+    return FMonomial.make(member.coefficient**k, member.qpower * k, factors)

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import f_series, ts
 from overcubic import congruence as cg
-from overcubic import density, dissect, etaq, oracle
-from overcubic.certify import load_certificate, verify_certificate
+from overcubic import catalogs, density, dissect, etaq, oracle
+from overcubic.catalogs import load_certificate
+from overcubic.certify import verify_certificate
 from overcubic.series import (
     equal_to_order,
     inv,
@@ -117,7 +118,7 @@ def test_c7_identity_catalogs_at_2000():
         "identities/congruence_identities.json",
         "identities/theta_dissections.json",
     ):
-        results = dissect.verify_catalog(dissect.load_identity_catalog(ref), 2000)
+        results = dissect.verify_catalog(catalogs.load_identity_catalog(ref), 2000)
         assert all(r.passed for r in results), [r.name for r in results if not r.passed]
         names += [r.name for r in results]
     assert len(names) == 9

@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from overcubic import catalogs, etaq
 from overcubic.cli import main
@@ -244,9 +246,15 @@ def test_order_ceiling_exits_two_at_once(capsys, argv):
     assert "ceiling" in capsys.readouterr().err
 
 
-CERT_WITHOUT_BASE = {
-    k: v for k, v in json.loads(catalogs.read_text("certs/bt_8n7.json")).items() if k != "base"
-}
+CERT = json.loads(catalogs.read_text("certs/bt_8n7.json"))
+CERT_WITHOUT_BASE = {k: v for k, v in CERT.items() if k != "base"}
+
+
+def one_identity(lhs=None, rhs=None, **keys):
+    """A catalog of one identity, f1 = f1 unless a side or a key is given."""
+    f1 = {"factors": {"1": 1}}
+    return [{"name": "x", "lhs": lhs or {"sum": [f1]}, "rhs": rhs or {"sum": [f1]}, **keys}]
+
 
 # argv with "{dir}" for a directory and "{file}" for a file holding the JSON
 BAD_INPUTS = {
@@ -259,8 +267,51 @@ BAD_INPUTS = {
         ["identity", "--catalog", "{file}"], [{"name": "x", "rhs": {"sum": []}}]
     ),
     "certificate-without-base": (["certificate", "--cert", "{file}"], CERT_WITHOUT_BASE),
+    # every catalog number is a JSON integer: each of these was read as
+    # another number, so that a false identity or certificate passed, or
+    # raised a traceback
+    "identity-float-exponent": (
+        ["identity", "--catalog", "{file}"], one_identity({"sum": [{"factors": {"1": 1.5}}]})
+    ),
+    "identity-bool-exponent": (
+        ["identity", "--catalog", "{file}"], one_identity({"sum": [{"factors": {"1": True}}]})
+    ),
+    "identity-float-coefficient": (
+        ["identity", "--catalog", "{file}"],
+        one_identity({"sum": [{"coefficient": 2.7}]}, {"sum": [{"coefficient": 2}]}),
+    ),
+    "identity-float-qpower": (
+        ["identity", "--catalog", "{file}"],
+        one_identity({"sum": [{"qpower": 1.5}]}, {"sum": [{"qpower": 1}]}),
+    ),
+    "identity-float-modulus": (["identity", "--catalog", "{file}"], one_identity(modulus=4.5)),
+    "identity-float-progression": (
+        ["identity", "--catalog", "{file}"], one_identity(lhs_progression=[2.0, 0])
+    ),
+    "identity-float-family-k": (
+        ["identity", "--catalog", "{file}"],
+        one_identity({"family": {"name": "overcubic-ktuple", "k": 2.5}}),
+    ),
+    "identity-mixed-names": (
+        ["identity", "--catalog", "{file}"], one_identity() + [{**one_identity()[0], "name": 1}]
+    ),
+    "certificate-float-m": (["certificate", "--cert", "{file}"], {**CERT, "m": 8.0}),
+    # an empty polynomial raised IndexError in the check
+    "certificate-empty-polynomial": (["certificate", "--cert", "{file}"], {**CERT, "polynomial": []}),
+    "certificate-half-coefficient": (
+        ["certificate", "--cert", "{file}"],
+        {**CERT, "polynomial": [*CERT["polynomial"][:3], 949826648801280.5,
+                                *CERT["polynomial"][4:]]},
+    ),
     "coeffs-progression-0-0": (
         ["coeffs", "--family", "overcubic", "--progression", "0,0"], None
+    ),
+    # coeffs --progression follows the rule verify and dissect follow
+    "coeffs-progression-offset-not-below-m": (
+        ["coeffs", "--family", "overcubic", "--progression", "2,5", "--n-limit", "3"], None
+    ),
+    "coeffs-progression-negative-n-limit": (
+        ["coeffs", "--family", "overcubic", "--progression", "2,1", "--n-limit", "-1"], None
     ),
     "oracle-negative-max-n": (["oracle", "--family", "overcubic", "--max-n", "-3"], None),
     "scan-order": (
@@ -361,8 +412,18 @@ BAD_INPUTS = {
     ),
 }
 
+MALFORMED = [
+    "catalog-object", "catalog-entry-without-lhs", "certificate-without-base",
+    "identity-float-exponent", "identity-bool-exponent", "identity-float-coefficient",
+    "identity-float-qpower", "identity-float-modulus", "identity-float-progression",
+    "identity-float-family-k", "identity-mixed-names", "certificate-float-m",
+    "certificate-half-coefficient",
+]
+
 # rows whose message is pinned beyond "error:"
 BAD_INPUT_MESSAGES = {
+    **dict.fromkeys(MALFORMED, "malformed"),
+    "coeffs-progression-offset-not-below-m": "0 <= j < m",
     "identity-exact-ceiling": "above the exact-path ceiling",
     "expand-exact-pass-work": "above the pass-work ceiling",
     "expand-mod-pass-work": "above the pass-work ceiling",
@@ -385,6 +446,20 @@ def test_bad_input_exits_two_with_a_message(tmp_path, capsys, case):
     assert captured.out == ""
     assert "error:" in captured.err
     assert BAD_INPUT_MESSAGES.get(case, "") in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["identity", "--catalog", "{file}"], ["verify", "--job", "{file}"]],
+    ids=["catalog", "job"],
+)
+def test_json_nested_too_deep_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([a.format(file=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: maximum recursion depth exceeded" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -533,3 +608,91 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["passed"] is True
+
+
+# -- every route for outside input, fuzzed -----------------------------------------
+
+# no "/" in fuzzed text, so a fuzzed --output stays in the working directory
+_TEXT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789:,-+. ", max_size=6)
+# integers are bounded so that a valid-looking case stays a small expansion
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=5,
+)
+_IDENTITIES = [
+    json.loads(catalogs.read_text("identities/congruence_identities.json"))[1],
+    json.loads(catalogs.read_text("identities/lemma_dissections.json"))[0],
+]
+
+
+def _paths(node, path=()):
+    """The path of node and of every value inside it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(value, (*path, key))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    node = json.loads(json.dumps(node))
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+def _fuzzed(argv, base):
+    """(argv, file content, content is a catalog): base with any JSON value at any path."""
+    return st.builds(
+        lambda path, value: (argv, _replaced(base, path, value), True),
+        st.sampled_from(list(_paths(base))),
+        _JSON,
+    )
+
+
+_JOB = {"family": "overcubic-ktuple", "k": 3, "progression": "8,7", "mod": 4, "n_limit": 10}
+_JOB_KEYS = st.sampled_from([*_JOB, "alpha", "status", "output", "format"]) | _TEXT
+_JOB_VALUES = st.integers(-2, 6) | st.sampled_from(["overcubic", "2,1", "csv"]) | _JSON
+# (argv, the JSON written to {file}, whether that JSON is a catalog)
+_FUZZ_CASES = st.one_of(
+    _fuzzed(["identity", "--catalog", "{file}", "--order", "30"], _IDENTITIES),
+    _fuzzed(["certificate", "--cert", "{file}", "--order", "60"], CERT),
+    st.text(alphabet="0123456789:,- ", max_size=8).map(
+        lambda text: (["expand", "--factors=" + text, "--order", "20"], None, False)
+    ),
+    st.dictionaries(_JOB_KEYS, _JOB_VALUES, max_size=3).map(
+        lambda update: (["verify", "--job", "{file}"], {**_JOB, **update}, False)
+    ),
+)
+
+
+def _has_float(node) -> bool:
+    if isinstance(node, dict):
+        node = list(node.values())
+    return isinstance(node, float) or isinstance(node, list) and any(map(_has_float, node))
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=_FUZZ_CASES)
+def test_outside_input_exits_0_1_or_2(tmp_path, monkeypatch, capsys, case):
+    """Any catalog value, --factors text or --job object ends in exit 0, 1
+    or 2, never in a traceback; a catalog holding a non-integer number ends
+    in 2."""
+    argv, content, is_catalog = case
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    try:
+        code = main([a.format(file=path) for a in argv])
+    except SystemExit as exc:  # argparse refuses a bad flag this way
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    if is_catalog and _has_float(content):
+        assert code == 2

@@ -4,13 +4,12 @@ from hypothesis import strategies as st
 
 from conftest import ts
 from overcubic import etaq
+from overcubic.catalogs import claim_from_dict, load_identity_catalog
 from overcubic.dissect import (
     IdentityClaim,
-    claim_from_dict,
     extract_progression,
     interleave,
     lhs_order,
-    load_identity_catalog,
     over_common_product,
     progression_order,
     verify_catalog,

@@ -99,6 +99,18 @@ def test_family_series_count_something(name, k):
     assert all(c >= 0 for c in s.coeffs)
 
 
+def test_tuple_family_is_its_member_to_the_kth_power():
+    single = family_monomial(Family("overcubic"))
+    for k in range(1, 13):
+        scaled = FMonomial.make(factors=[(d, r * k) for d, r in single.factors])
+        assert family_monomial(Family("overcubic-ktuple", k)) == scaled
+    for k, name in ((2, "overcubic-pair"), (3, "overcubic-triple")):
+        assert family_monomial(Family("overcubic-ktuple", k)) == family_monomial(Family(name))
+    assert family_monomial(Family("opt-ktuple")) == FMonomial.make(factors={1: -2, 2: 3, 4: -1})
+    with pytest.raises(ValueError, match="family 'overcubic' has no tuple length; k must be 1"):
+        Family("overcubic", 2)
+
+
 def test_ktuple_power_law():
     # k-fold convolution of the single series equals the k-tuple series
     n = 300
