@@ -22,6 +22,14 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(" ", "").split(",") if x]
 
 
+def _parse_progression(text: str) -> tuple[int, int]:
+    """The m,j of --progression; dissect.progression_order checks the values."""
+    values = _parse_ints(text)
+    if len(values) != 2:
+        raise ValueError(f"--progression takes two integers m,j, not {text!r}")
+    return values[0], values[1]
+
+
 def _parse_factors(text: str) -> list[tuple[int, int]]:
     """(delta, r) pairs in the given order; FMonomial refuses a repeated delta."""
     pairs = (item.partition(":") for item in text.replace(" ", "").split(",") if item)
@@ -83,12 +91,15 @@ def cmd_coeffs(args) -> int:
     mon = _monomial_from_args(args)
     if args.indices is not None:
         indices = _parse_ints(args.indices)
+        if not indices:
+            raise ValueError("no index given to --indices")
+        if min(indices) < 0:
+            raise ValueError("indices must be nonnegative")
     else:
-        m, j = _parse_ints(args.progression)
-        dissect.progression_order(m, j, args.n_limit + 1)  # the one progression rule
-        indices = [m * n + j for n in range(args.n_limit + 1)]
-    if not indices or min(indices) < 0:
-        raise ValueError("indices must be nonnegative")
+        m, j = _parse_progression(args.progression)
+        if args.n_limit < 0:
+            raise ValueError("--n-limit must be >= 0")
+        indices = list(range(j, dissect.progression_order(m, j, args.n_limit + 1), m))
     order = max(indices) + 1
     s = etaq.expand(mon, order, args.mod)
     values = [s.coefficient(i) for i in indices]
@@ -105,7 +116,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    m, j = _parse_ints(args.progression)
+    m, j = _parse_progression(args.progression)
     claim = congruence.CongruenceClaim(
         family=etaq.Family(args.family, args.k),
         m=m,

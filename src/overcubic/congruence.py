@@ -8,7 +8,6 @@ residue expansion mod the claim's modulus (etaq.residue_array).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -33,8 +32,7 @@ class CongruenceClaim:
     status: str = PROVED
 
     def __post_init__(self):
-        if self.m < 1 or not 0 <= self.j < self.m:
-            raise ValueError("need m >= 1 and 0 <= j < m")
+        dissect.progression_order(self.m, self.j, 1)  # the one progression rule
         if self.modulus < 2:
             raise ValueError("modulus must be >= 2")
         if self.alpha < 0:
@@ -74,8 +72,8 @@ def verify_congruence(
     claim's status."""
     order = required_order(claim, n_limit)
     arr = etaq.residue_array(etaq.family_monomial(claim.family), order, claim.modulus)
-    indices = (claim.m * np.arange(n_limit + 1, dtype=np.int64) + claim.j) << claim.alpha
-    hits = np.nonzero(arr[indices])[0]
+    # arr ends at index (m n_limit + j) 2^alpha, so the slice is n = 0..n_limit
+    hits = np.nonzero(arr[claim.j << claim.alpha :: claim.m << claim.alpha])[0]
     first = int(hits[0]) if hits.size else None
     return VerificationResult(
         name=claim.key(),
@@ -147,18 +145,16 @@ def scan(
     mon = etaq.family_monomial(family)
     arrays = {modulus: etaq.residue_array(mon, order, modulus) for modulus in moduli}
 
-    def winning_modulus(indices: np.ndarray) -> int | None:
-        return next((M for M in moduli if not np.any(arrays[M][indices])), None)
+    def winning_modulus(m: int, j: int, samples: int) -> int | None:
+        return next((M for M in moduli if not np.any(arrays[M][j::m][:samples])), None)
 
     found = []
     for m in range(1, max_m + 1):
-        base = m * np.arange(2 * n_min, dtype=np.int64)
         for j in range(m):
-            indices = base + j
-            first = winning_modulus(indices[:n_min])
+            first = winning_modulus(m, j, n_min)
             if first is None:
                 continue
-            if winning_modulus(indices) != first:
+            if winning_modulus(m, j, 2 * n_min) != first:
                 continue
             found.append(CongruenceClaim(family, m=m, j=j, modulus=first, status="discovered"))
     return found
@@ -277,18 +273,24 @@ _IDENTITY_CATALOGS = (
 )
 
 
-def _claim_suite(default_n: int, label: str, claims_of, n_limit, alpha_limit, order):
-    """claims_of maps the alpha bound to the claims; conjecture evidence
-    samples one dilation step deeper by default."""
-    n = default_n if n_limit is None else n_limit
-    a = (6 if label == CONJECTURE_LABEL else 5) if alpha_limit is None else alpha_limit
-    claims = claims_of(a)
-    params = {"n_limit": n, "label": label}
-    if any(c.alpha for c in claims):
-        params["alpha_limit"] = a
-    return params, [
-        (required_order(c, n), lambda c=c: [verify_congruence(c, n, label)]) for c in claims
-    ]
+def _claim_suite(default_n: int, claims_of, dilates: bool = False, label: str = PROVED):
+    """A claim suite's entry.  claims_of maps the alpha bound to the claims;
+    the suite reads n_limit, and alpha_limit when it dilates (at 0 too,
+    which only yields no dilation).  Conjecture evidence samples one
+    dilation step deeper by default."""
+
+    def checks(n_limit, alpha_limit, order):
+        n = default_n if n_limit is None else n_limit
+        a = (6 if label == CONJECTURE_LABEL else 5) if alpha_limit is None else alpha_limit
+        claims = claims_of(a)
+        params = {"n_limit": n, "label": label}
+        if any(c.alpha for c in claims):
+            params["alpha_limit"] = a
+        return params, [
+            (required_order(c, n), lambda c=c: [verify_congruence(c, n, label)]) for c in claims
+        ]
+
+    return ("n_limit", "alpha_limit") if dilates else ("n_limit",), checks
 
 
 def _suite_9(n_limit, alpha_limit, order):
@@ -316,36 +318,36 @@ def _certificate(n_limit, alpha_limit, order):
     return {"order": n}, [check]
 
 
-# Every paper-suite entry, in `--theorem all` order.  An entry maps
-# (n_limit, alpha_limit, order) to its echoed parameters and its checks; a
-# check is (the largest order it expands to, a function returning its
-# results).  Claim suites default n_limit; suites 9, dissections and
-# certificate default order; lacunary has no bound.
+# Every paper-suite entry, in `--theorem all` order: the bounds it reads,
+# and a function mapping (n_limit, alpha_limit, order) to its echoed
+# parameters and its checks; a check is (the largest order it expands to, a
+# function returning its results).  An unset bound takes the suite's default.
 SUITES = {
-    "1": partial(_claim_suite, 1000, PROVED, lambda a: _claims(THEOREM_1_TABLE)),
-    "2": partial(_claim_suite, 200, PROVED, lambda a: _claims(((4, 3, 4), (8, 5, 32)), a)),
-    "3": partial(_claim_suite, 500, PROVED, lambda a: _claims(((72, 21, 128), (72, 69, 384)))),
-    "5": partial(_claim_suite, 500, PROVED, lambda a: _claims(THEOREM_5_TABLE, families=_TUPLES)),
-    "9": _suite_9,
-    "mod4-progressions": partial(
-        _claim_suite,
+    "1": _claim_suite(1000, lambda a: _claims(THEOREM_1_TABLE)),
+    "2": _claim_suite(200, lambda a: _claims(((4, 3, 4), (8, 5, 32)), a), dilates=True),
+    "3": _claim_suite(500, lambda a: _claims(((72, 21, 128), (72, 69, 384)))),
+    "5": _claim_suite(500, lambda a: _claims(THEOREM_5_TABLE, families=_TUPLES)),
+    "9": (("order",), _suite_9),
+    "mod4-progressions": _claim_suite(
         500,
-        PROVED,
         lambda a: [c for p in (3, 5, 7, 11) for k in (0, 1) for c in nonresidue_progressions(p, k)],
     ),
-    "conjecture-1": partial(
-        _claim_suite, 200, CONJECTURE_LABEL, lambda a: _claims(((8, 7, 64),), a, CONJECTURED)
-    ),
-    "conjecture-2": partial(
-        _claim_suite,
+    "conjecture-1": _claim_suite(
         200,
-        CONJECTURE_LABEL,
+        lambda a: _claims(((8, 7, 64),), a, CONJECTURED),
+        dilates=True,
+        label=CONJECTURE_LABEL,
+    ),
+    "conjecture-2": _claim_suite(
+        200,
         lambda a: _claims(((144, 42, 384),), 0, CONJECTURED)
         + _claims(((72, 21, 128), (72, 69, 128)), a, CONJECTURED),
+        dilates=True,
+        label=CONJECTURE_LABEL,
     ),
-    "lacunary": _lacunary,
-    "dissections": _dissections,
-    "certificate": _certificate,
+    "lacunary": ((), _lacunary),
+    "dissections": (("order",), _dissections),
+    "certificate": (("order",), _certificate),
 }
 
 
@@ -355,14 +357,19 @@ def run_suites(
     """Echoed parameters per suite, and every result sorted by name, of the
     named suites.  Their checks run in one etaq.largest_first pass, so each
     expansion is built once per run; an unset bound takes each suite's
-    default."""
+    default, and a set bound that no named suite reads is refused."""
     if alpha_limit is not None and alpha_limit < 0:
         raise ValueError("alpha_limit must be >= 0")
-    parameters, checks = {}, []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-        parameters[name], suite_checks = SUITES[name](n_limit, alpha_limit, order)
+    for bound, value in (("n_limit", n_limit), ("alpha_limit", alpha_limit), ("order", order)):
+        if value is not None and not any(bound in SUITES[name][0] for name in names):
+            readers = ", ".join(name for name, (reads, _) in SUITES.items() if bound in reads)
+            raise ValueError(f"no selected suite reads {bound}; suites {readers} do")
+    parameters, checks = {}, []
+    for name in names:
+        parameters[name], suite_checks = SUITES[name][1](n_limit, alpha_limit, order)
         checks += suite_checks
     results = [r for found in etaq.largest_first(checks) for r in found]
     return parameters, sorted(results, key=lambda r: r.name)

@@ -34,17 +34,9 @@ def extract_progression(s: TruncatedSeries, m: int, j: int) -> TruncatedSeries:
     convention for negative exponents would be arbitrary."""
     if s.valuation < 0:
         raise NegativeValuation("cannot dissect a series with negative valuation")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0 <= j < m:
-        raise ValueError("progression offset must satisfy 0 <= j < m")
-    order = (s.order - j + m - 1) // m
-    coeffs = [0] * max(0, order)
-    lo = s.valuation
-    start = j if j >= lo else j + ((lo - j + m - 1) // m) * m
-    for e in range(start, s.order, m):
-        coeffs[(e - j) // m] = s.coeffs[e - lo]
-    return TruncatedSeries.make(0, coeffs, order) if order > 0 else TruncatedSeries(order, (), order)
+    progression_order(m, j, 1)  # the one progression rule
+    coeffs = s.window(0, s.order)[j::m]
+    return TruncatedSeries.make(0, coeffs, len(coeffs))
 
 
 def interleave(parts: list[TruncatedSeries]) -> TruncatedSeries:
@@ -56,13 +48,10 @@ def interleave(parts: list[TruncatedSeries]) -> TruncatedSeries:
         if p.valuation < 0:
             raise NegativeValuation("interleaving expects valuation >= 0 parts")
     order = min(m * p.order + j for j, p in enumerate(parts))
-    coeffs = [0] * max(0, order)
+    coeffs = [0] * order
     for j, p in enumerate(parts):
-        for i, c in enumerate(p.coeffs):
-            e = m * (p.valuation + i) + j
-            if e < order:
-                coeffs[e] = c
-    return TruncatedSeries.make(0, coeffs, order) if order > 0 else TruncatedSeries(order, (), order)
+        coeffs[j::m] = p.window(0, len(range(j, order, m)))
+    return TruncatedSeries.make(0, coeffs, order)
 
 
 @dataclass(frozen=True)

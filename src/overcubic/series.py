@@ -193,13 +193,9 @@ def dilate(a: TruncatedSeries, m: int) -> TruncatedSeries:
     known zero, so the result is trusted below m * a.order."""
     if m < 1:
         raise ValueError("dilation factor must be >= 1")
-    if m == 1 or not a.coeffs:
-        return a if a.coeffs else zero(m * a.order)
-    out = [0] * (m * len(a.coeffs) - (m - 1))
-    for i, c in enumerate(a.coeffs):
-        out[m * i] = c
-    val = m * a.valuation
-    return TruncatedSeries.make(val, out + [0] * (m * a.order - val - len(out)), m * a.order)
+    out = [0] * (m * len(a.coeffs))
+    out[::m] = a.coeffs
+    return TruncatedSeries.make(m * a.valuation, out, m * a.order)
 
 
 def first_difference(a, b, limit: int) -> int | None:

@@ -313,6 +313,28 @@ BAD_INPUTS = {
     "coeffs-progression-negative-n-limit": (
         ["coeffs", "--family", "overcubic", "--progression", "2,1", "--n-limit", "-1"], None
     ),
+    "coeffs-no-index": (["coeffs", "--family", "overcubic", "--indices", ","], None),
+    # --progression is two integers m,j, in verify as in coeffs
+    "coeffs-progression-one-value": (
+        ["coeffs", "--family", "overcubic", "--progression", "2"], None
+    ),
+    "verify-progression-one-value": (
+        ["verify", "--family", "overcubic", "--progression", "2", "--mod", "4",
+         "--n-limit", "10"], None
+    ),
+    "verify-progression-three-values": (
+        ["verify", "--family", "overcubic", "--progression", "2,1,3", "--mod", "4",
+         "--n-limit", "10"], None
+    ),
+    # a claim's progression follows the rule coeffs and dissect follow
+    "verify-progression-m-0": (
+        ["verify", "--family", "overcubic", "--progression", "0,0", "--mod", "4",
+         "--n-limit", "10"], None
+    ),
+    "verify-progression-offset-not-below-m": (
+        ["verify", "--family", "overcubic", "--progression", "4,9", "--mod", "4",
+         "--n-limit", "10"], None
+    ),
     "oracle-negative-max-n": (["oracle", "--family", "overcubic", "--max-n", "-3"], None),
     "scan-order": (
         ["scan", "--family", "partition", "--max-m", "2", "--moduli", "5", "--order", "100000"],
@@ -337,6 +359,15 @@ BAD_INPUTS = {
     ),
     "certificate-negative-alpha-limit": (
         ["paper-suite", "--theorem", "certificate", "--alpha-limit", "-1"], None
+    ),
+    # a bound that no selected suite reads is refused, not dropped
+    "lacunary-n-limit": (["paper-suite", "--theorem", "lacunary", "--n-limit", "5"], None),
+    "suite-9-n-limit": (["paper-suite", "--theorem", "9", "--n-limit", "5"], None),
+    "suite-1-alpha-limit": (["paper-suite", "--theorem", "1", "--alpha-limit", "3"], None),
+    "suite-1-order": (["paper-suite", "--theorem", "1", "--order", "300"], None),
+    "dissections-n-limit": (["paper-suite", "--theorem", "dissections", "--n-limit", "5"], None),
+    "certificate-alpha-limit-0": (
+        ["paper-suite", "--theorem", "certificate", "--alpha-limit", "0"], None
     ),
     # either-or flags: exactly one of the pair
     "expand-family-and-factors": (
@@ -420,10 +451,25 @@ MALFORMED = [
     "certificate-half-coefficient",
 ]
 
+UNREAD_BOUND = [
+    "lacunary-n-limit", "suite-9-n-limit", "suite-1-alpha-limit", "suite-1-order",
+    "dissections-n-limit", "certificate-alpha-limit-0",
+]
+PROGRESSION_ARITY = [
+    "coeffs-progression-one-value", "verify-progression-one-value",
+    "verify-progression-three-values",
+]
+
 # rows whose message is pinned beyond "error:"
 BAD_INPUT_MESSAGES = {
     **dict.fromkeys(MALFORMED, "malformed"),
+    **dict.fromkeys(UNREAD_BOUND, "no selected suite reads"),
+    **dict.fromkeys(PROGRESSION_ARITY, "--progression takes two integers m,j"),
     "coeffs-progression-offset-not-below-m": "0 <= j < m",
+    "coeffs-progression-negative-n-limit": "--n-limit must be >= 0",
+    "coeffs-no-index": "no index given",
+    "verify-progression-m-0": "m must be >= 1",
+    "verify-progression-offset-not-below-m": "0 <= j < m",
     "identity-exact-ceiling": "above the exact-path ceiling",
     "expand-exact-pass-work": "above the pass-work ceiling",
     "expand-mod-pass-work": "above the pass-work ceiling",

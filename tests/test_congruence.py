@@ -77,6 +77,30 @@ def test_composite_modulus_uses_both_residue_parts():
         assert exact[72 * n + 69] % 384 == 0
 
 
+@pytest.mark.parametrize("m,j,alpha", [(8, 7, 2), (3, 0, 1), (5, 2, 3)])
+def test_verify_reads_exactly_the_dilated_progression(monkeypatch, m, j, alpha):
+    # a crafted array, nonzero everywhere except at (m n + j) 2^alpha for
+    # n <= n_limit: the claim holds, and holds no longer once one of those
+    # entries is set
+    n_limit = 12
+    indices = [(m * n + j) << alpha for n in range(n_limit + 1)]
+    arr = None
+
+    def residue_array(mon, order, modulus):
+        assert order == cg.required_order(claim, n_limit) == indices[-1] + 1
+        return arr
+
+    monkeypatch.setattr(etaq, "residue_array", residue_array)
+    claim = cg.CongruenceClaim(Family("overcubic-triple"), m=m, j=j, modulus=4, alpha=alpha)
+    arr = np.ones(indices[-1] + 1, np.uint64)
+    arr[indices] = 0
+    assert cg.verify_congruence(claim, n_limit).passed
+    for n in (0, 5, n_limit):
+        arr = np.zeros(indices[-1] + 1, np.uint64)
+        arr[indices[n]] = 1
+        assert cg.verify_congruence(claim, n_limit).first_violation == n
+
+
 def test_order_ceiling_guards_scans():
     claim = cg.CongruenceClaim(Family("overcubic-triple"), m=8, j=7, modulus=64, alpha=30)
     with pytest.raises(InsufficientPrecision):
@@ -196,6 +220,32 @@ def test_suite_checks_its_largest_order_before_building(monkeypatch):
     monkeypatch.setattr(etaq, "_expand_factors", no_build)
     with pytest.raises(InsufficientPrecision):
         cg.run_suites(["conjecture-2"], alpha_limit=12)
+
+
+@pytest.mark.parametrize(
+    "names,bounds",
+    [
+        (["lacunary"], {"n_limit": 5}),
+        (["9", "dissections", "certificate"], {"n_limit": 5}),
+        (["1", "3", "5", "mod4-progressions"], {"alpha_limit": 0}),
+        (["1", "2", "lacunary"], {"order": 300}),
+    ],
+)
+def test_a_bound_no_named_suite_reads_is_refused_before_building(monkeypatch, names, bounds):
+    def no_build(*args):
+        raise AssertionError("a residue array was built")
+
+    monkeypatch.setattr(etaq, "_expand_factors", no_build)
+    with pytest.raises(ValueError, match="no selected suite reads"):
+        cg.run_suites(names, **bounds)
+
+
+def test_every_bound_is_read_by_some_suite():
+    # so `--theorem all` takes every bound, and suite 2 takes alpha_limit 0
+    reads = {bound for reads, _ in cg.SUITES.values() for bound in reads}
+    assert reads == {"n_limit", "alpha_limit", "order"}
+    parameters, results = cg.run_suites(["2"], n_limit=20, alpha_limit=0)
+    assert "alpha_limit" not in parameters["2"] and len(results) == 2
 
 
 def test_unknown_suite_rejected():

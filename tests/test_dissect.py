@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ts
@@ -79,11 +79,20 @@ def test_interleave_examples():
 @given(
     st.lists(st.integers(min_value=-50, max_value=50), min_size=0, max_size=40),
     st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=8),
 )
+@example([5, 0, 7], 4, 6)  # valuation above every offset j
+@example([3], 6, 0)  # order 1, at or below every offset j >= 1
+@example([], 5, 2)  # the zero series of order 2
 @settings(deadline=None, max_examples=200)
-def test_round_trip_through_all_classes(coeffs, m):
-    s = ts(coeffs)
+def test_round_trip_through_all_classes(coeffs, m, valuation):
+    s = ts(coeffs, valuation)
     parts = [extract_progression(s, m, j) for j in range(m)]
+    # each part against the coefficients read one at a time, so that an
+    # extraction and an interleave sharing one mistake cannot pass
+    for j, part in enumerate(parts):
+        assert part.order == len(range(j, s.order, m))
+        assert part.window(0, part.order) == [s.coefficient(m * n + j) for n in range(part.order)]
     back = interleave(parts)
     assert back.order >= s.order - m
     n = min(back.order, s.order)

@@ -157,6 +157,18 @@ def test_dilate_spreads_exponents():
     d = dilate(ts([1, 2, 3]), 3)
     assert d.window(0, 9) == [1, 0, 0, 2, 0, 0, 3, 0, 0]
     assert d.order == 9
+    laurent = dilate(ts([2, 0, 5], valuation=-1, order=4), 2)
+    assert (laurent.valuation, laurent.order) == (-2, 8)
+    assert laurent.window(-2, 8) == [2, 0, 0, 0, 5] + [0] * 5
+    assert dilate(ts([], order=3), 4) == ts([], order=12)
+
+
+@given(series_strategy(), st.integers(1, 5))
+def test_dilate_reads_every_mth_coefficient(a, m):
+    d = dilate(a, m)
+    assert d.order == m * a.order
+    for e in range(m * min(a.valuation, 0), d.order):
+        assert d.coefficient(e) == (a.coefficient(e // m) if e % m == 0 else 0)
 
 
 # -- algebraic properties ----------------------------------------------------
