@@ -18,13 +18,21 @@ from .errors import QSeriesError
 from .reporting import CONGRUENCE_COLUMNS, to_csv, to_json
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.replace(" ", "").split(",") if x]
+def _parse_ints(text: str, flag: str) -> list[int]:
+    """The comma-separated integers of `flag`.  Text with no item at all
+    gives [], for the caller to refuse; an empty item beside others is
+    refused here, not read as nothing."""
+    items = text.replace(" ", "").split(",")
+    if not any(items):
+        return []
+    if not all(items):
+        raise ValueError(f"{flag} has an empty item in {text!r}")
+    return [int(x) for x in items]
 
 
 def _parse_progression(text: str) -> tuple[int, int]:
     """The m,j of --progression; dissect.progression_order checks the values."""
-    values = _parse_ints(text)
+    values = _parse_ints(text, "--progression")
     if len(values) != 2:
         raise ValueError(f"--progression takes two integers m,j, not {text!r}")
     return values[0], values[1]
@@ -90,16 +98,19 @@ def cmd_expand(args) -> int:
 def cmd_coeffs(args) -> int:
     mon = _monomial_from_args(args)
     if args.indices is not None:
-        indices = _parse_ints(args.indices)
+        if args.n_limit is not None:
+            raise ValueError("--n-limit bounds --progression; --indices reads no bound")
+        indices = _parse_ints(args.indices, "--indices")
         if not indices:
             raise ValueError("no index given to --indices")
         if min(indices) < 0:
             raise ValueError("indices must be nonnegative")
     else:
         m, j = _parse_progression(args.progression)
-        if args.n_limit < 0:
+        n_limit = 20 if args.n_limit is None else args.n_limit
+        if n_limit < 0:
             raise ValueError("--n-limit must be >= 0")
-        indices = list(range(j, dissect.progression_order(m, j, args.n_limit + 1), m))
+        indices = list(range(j, dissect.progression_order(m, j, n_limit + 1), m))
     order = max(indices) + 1
     s = etaq.expand(mon, order, args.mod)
     values = [s.coefficient(i) for i in indices]
@@ -143,7 +154,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    moduli = _parse_ints(args.moduli)
+    moduli = _parse_ints(args.moduli, "--moduli")
     claims = congruence.scan(etaq.Family(args.family, args.k), args.max_m, moduli, args.n_min)
     parameters = {
         "family": args.family,
@@ -204,9 +215,8 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_density(args) -> int:
-    report = density.compute_density(
-        etaq.Family(args.family, args.k), args.mod, args.residue, _parse_ints(args.x_grid)
-    )
+    grid = _parse_ints(args.x_grid, "--x-grid")
+    report = density.compute_density(etaq.Family(args.family, args.k), args.mod, args.residue, grid)
     return _report(
         args,
         "density",
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     indices = p.add_mutually_exclusive_group(required=True)
     indices.add_argument("--indices", help="comma-separated exponents")
     indices.add_argument("--progression", help="m,j: report indices m*n+j for n <= n-limit")
-    p.add_argument("--n-limit", type=int, default=20)
+    p.add_argument("--n-limit", type=int, help="n bound of --progression (default 20)")
     p.add_argument("--mod", type=int, default=None)
     _add_output_options(p)
     p.set_defaults(func=cmd_coeffs)
@@ -364,6 +374,12 @@ def _with_job(path: str, argv: list[str]) -> list[str]:
     job = json.loads(Path(path).read_text())
     if not isinstance(job, dict):
         raise ValueError(f"job file {path} must hold a JSON object of flags")
+    for key, value in job.items():
+        if isinstance(value, (list, dict)):
+            raise ValueError(
+                f"job file {path}: the value of {key!r} must be a number or a string,"
+                f" not {type(value).__name__} {json.dumps(value)}"
+            )
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in job.items()]
     return argv[:1] + flags + argv[1:]
 

@@ -6,10 +6,12 @@ single f_delta uses its pentagonal-number expansion (all coefficients in
 {-1, 0, 1}), and cubes f_delta^3 use the classical sparse expansion with
 coefficients +-(2k+1), which cuts the number of passes for large
 exponents roughly by three.  One multiply pass, one divide pass and one
-memo serve three coefficient rings: Z, as Python integers in object
-arrays; Z/2^64, as uint64 words that wrap (exact for any power-of-two
-modulus up to 2^63); and Z/M for a small odd M, as uint64 reduced after
-every pass.  expand is the one series entry point, exact or mod M.
+memo serve three coefficient rings: Z, on int64 words while every
+multiply pass provably stays below 2^63 and as Python integers in object
+arrays after that; Z/2^64, as uint64 words that wrap (exact for any
+power-of-two modulus up to 2^63); and Z/M for a small odd M, as uint64
+reduced after every pass.  A build runs its multiply passes before its
+divide passes.  expand is the one series entry point, exact or mod M.
 residue_array, the array primitive under its residue route, splits a
 modulus into its power-of-two and odd parts and recombines them by CRT.
 """
@@ -39,6 +41,9 @@ MAX_ORDER = 4_000_000
 # output and the scaled slice it adds into the output (three object arrays
 # of ints), and the caller's list copy adds a fourth array of slots, so a
 # build below n is estimated at n * (bits/2.5 + 128) bytes (exact_bytes).
+# A build that runs on int64 words, 8 bytes a coefficient, until it turns
+# into an object array holds less than that, so the estimate stays an upper
+# bound.
 # The cap admits the triple family to order 95,207; `coeffs --family
 # overcubic-triple --indices 95206` took 33 s cold at 118 MB peak RSS on a
 # 2-core machine.
@@ -199,7 +204,15 @@ def _expand_factors(factors: tuple[tuple[int, int], ...], n: int, ring: int | No
     Z/2^64 (ring WORD), or uint64 reduced after every pass for Z/M with M
     odd (ring M <= _SMALL_MODULUS_LIMIT).  f_delta^|r| takes |r| // 3 cube
     passes and |r| % 3 pentagonal ones, multiplying for r > 0 and dividing
-    for r < 0; builds above MAX_PASS_WORK are refused before any pass."""
+    for r < 0; builds above MAX_PASS_WORK are refused before any pass.
+
+    Every ring is commutative, so a build runs its multiply passes first.
+    A Z build starts on int64 words.  A multiply pass adds products c * a
+    of its coefficients c and the accumulator's a, so max|a| * sum|c|
+    bounds every product and partial sum it forms; while that bound is
+    below 2^63 the pass runs on int64 and cannot wrap.  Once it is not, and
+    before the first divide pass, the accumulator becomes an object array
+    of Python integers for the rest of the build."""
 
     def build(limit):
         passes = sum(sum(divmod(abs(r), 3)) for _, r in factors)
@@ -219,10 +232,9 @@ def _expand_factors(factors: tuple[tuple[int, int], ...], n: int, ring: int | No
                 x %= modulus  # in place for a pass's output, by value for a scalar
                 return x
 
-        dtype = object if ring is None else np.uint64
-        acc = np.zeros(limit, dtype)
+        acc = np.zeros(limit, np.int64 if ring is None else np.uint64)
         acc[0] = 1
-        for delta, r in factors:
+        for delta, r in sorted(factors, key=lambda f: f[1] < 0):  # multiply passes first
             cubes, rest = divmod(abs(r), 3)
             for count, make in ((cubes, cube_terms), (rest, pentagonal_terms)):
                 if not count:
@@ -234,10 +246,19 @@ def _expand_factors(factors: tuple[tuple[int, int], ...], n: int, ring: int | No
                     step = _div_pass
                     terms = [(e, -c) for e, c in terms if e > 0]
                 exps = np.array([e for e, _ in terms], dtype=np.int64)
-                coefs = np.array([c if ring is None else c % ring for _, c in terms], dtype)
+                coefs = np.array([c if ring is None else c % ring for _, c in terms], acc.dtype)
+                weight = sum(abs(c) for _, c in terms)
                 for _ in range(count):
+                    # the pass bound: Z stays on int64 words while no product
+                    # or partial sum of this multiply pass can reach 2^63
+                    if acc.dtype == np.int64 and (
+                        step is _div_pass
+                        or max(int(acc.max()), -int(acc.min())) * weight >= 1 << 63
+                    ):
+                        acc = acc.astype(object)
+                        coefs = coefs.astype(object)
                     acc = step(acc, exps, coefs, reduce)
-        return acc
+        return acc.astype(object) if acc.dtype == np.int64 else acc
 
     return _cached((factors, ring), n, build)[:n]
 

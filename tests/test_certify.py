@@ -2,11 +2,15 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from overcubic import catalogs, oracle
+from conftest import ts
+from overcubic import catalogs, certify, oracle
 from overcubic.catalogs import certificate_from_dict, load_certificate
 from overcubic.certify import RaduCertificate, verify_certificate
 from overcubic.errors import InsufficientPrecision
+from overcubic.series import add, constant, mul
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +88,62 @@ def test_orbit_validation():
                 "claimed_common_factor": 2,
             }
         )
+
+
+# -- evaluating p(t) ----------------------------------------------------------------
+
+
+def horner(poly, deg, t):
+    """The reference route for certify._poly_eval: Horner, highest
+    coefficient first, starting from a constant that carries the pole's
+    slack."""
+    slack = max(0, -t.valuation)
+    acc = constant(poly[deg], t.order + slack)
+    for i in range(deg - 1, -1, -1):
+        acc = mul(acc, t)
+        if poly[i]:
+            acc = add(acc, constant(poly[i], acc.order))
+    return acc
+
+
+_BIG = st.integers(-(1 << 300), 1 << 300)
+_POLYS = st.lists(st.just(0) | _BIG, min_size=1, max_size=21)
+_HAUPTMODULS = st.builds(
+    lambda valuation, lead, rest: ts([lead, *rest], valuation),
+    st.integers(-2, 1),
+    _BIG.filter(bool),
+    st.lists(st.just(0) | _BIG, max_size=24),
+)
+
+
+@given(_POLYS, _HAUPTMODULS)
+@settings(max_examples=200, deadline=None)
+def test_paterson_stockmeyer_matches_horner(poly, t):
+    deg = max((i for i, c in enumerate(poly) if c), default=0)
+    fast = certify._poly_eval(tuple(poly), deg, t)
+    ref = horner(poly, deg, t)
+    both = min(fast.order, ref.order)
+    lo = min(fast.valuation, ref.valuation, both)
+    assert fast.window(lo, both) == ref.window(lo, both)
+    if t.valuation < 0:  # a pole: trusted as far as Horner, the order the plan needs
+        assert fast.order >= ref.order
+
+
+def test_paterson_stockmeyer_takes_six_products_for_degree_15(cert, monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    t = ts(range(1, 40), -1)
+    monkeypatch.setattr(certify, "mul", counted)
+    certify._poly_eval(cert.polynomial, 15, t)
+    assert len(calls) == 6  # t^2, t^3, t^4 and three giant steps; Horner takes 15
+
+
+@pytest.mark.parametrize("n", [100, 300, 1000])
+def test_shipped_certificate_reads_the_same_by_horner(cert, monkeypatch, n):
+    fast = verify_certificate(cert, n)
+    monkeypatch.setattr(certify, "_poly_eval", horner)
+    assert fast.passed and verify_certificate(cert, n) == fast

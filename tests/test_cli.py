@@ -98,6 +98,12 @@ def test_coeffs_progression_csv(capsys):
     assert lines[1] == "7,9792"
 
 
+def test_coeffs_progression_reads_n_limit_20_by_default(capsys):
+    code, out = run_cli(capsys, "coeffs", "--family", "overcubic", "--progression", "2,1")
+    assert code == 0
+    assert json.loads(out)["indices"] == list(range(1, 42, 2))
+
+
 def test_dissect_subcommand(capsys):
     code, out = run_cli(
         capsys, "dissect", "--family", "overcubic-triple", "--m", "2", "--j", "0",
@@ -314,6 +320,32 @@ BAD_INPUTS = {
         ["coeffs", "--family", "overcubic", "--progression", "2,1", "--n-limit", "-1"], None
     ),
     "coeffs-no-index": (["coeffs", "--family", "overcubic", "--indices", ","], None),
+    # an empty item beside others is refused, not read as nothing
+    "coeffs-indices-empty-item": (["coeffs", "--family", "overcubic", "--indices", "3,,5"], None),
+    "verify-progression-empty-items": (
+        ["verify", "--family", "overcubic", "--progression", ",8,,7,", "--mod", "4",
+         "--n-limit", "3"], None
+    ),
+    "scan-moduli-trailing-comma": (
+        ["scan", "--family", "partition", "--max-m", "5", "--moduli", "2,4,", "--n-min", "150"],
+        None,
+    ),
+    "density-x-grid-empty-item": (
+        ["density", "--family", "overcubic-triple", "--mod", "4", "--x-grid", "100,,1000"], None
+    ),
+    # --indices reads no bound, so a bound given with it is refused, not dropped
+    "coeffs-indices-n-limit": (
+        ["coeffs", "--family", "overcubic", "--indices", "1,2", "--n-limit", "7"], None
+    ),
+    # a job value is a number or a string; a list reached argparse as its str()
+    "job-list-value": (
+        ["verify", "--job", "{file}"],
+        {"progression": [8, 7], "family": "overcubic", "mod": 4, "n_limit": 3},
+    ),
+    "job-object-value": (
+        ["verify", "--job", "{file}", "--progression", "8,7"],
+        {"family": "overcubic", "mod": {"value": 4}, "n_limit": 3},
+    ),
     # --progression is two integers m,j, in verify as in coeffs
     "coeffs-progression-one-value": (
         ["coeffs", "--family", "overcubic", "--progression", "2"], None
@@ -468,6 +500,15 @@ BAD_INPUT_MESSAGES = {
     "coeffs-progression-offset-not-below-m": "0 <= j < m",
     "coeffs-progression-negative-n-limit": "--n-limit must be >= 0",
     "coeffs-no-index": "no index given",
+    "coeffs-indices-empty-item": "--indices has an empty item in '3,,5'",
+    "verify-progression-empty-items": "--progression has an empty item in ',8,,7,'",
+    "scan-moduli-trailing-comma": "--moduli has an empty item in '2,4,'",
+    "density-x-grid-empty-item": "--x-grid has an empty item in '100,,1000'",
+    "coeffs-indices-n-limit": "--n-limit bounds --progression; --indices reads no bound",
+    "job-list-value": "input.json: the value of 'progression' must be a number or a string,"
+    " not list [8, 7]",
+    "job-object-value": "input.json: the value of 'mod' must be a number or a string,"
+    " not dict {\"value\": 4}",
     "verify-progression-m-0": "m must be >= 1",
     "verify-progression-offset-not-below-m": "0 <= j < m",
     "identity-exact-ceiling": "above the exact-path ceiling",

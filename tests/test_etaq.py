@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import f_series, naive_euler_product, ts
+from conftest import f_series, naive_convolution, naive_euler_product, ts
 from overcubic import etaq, oracle
 from overcubic.errors import NonIntegerWeight, UnsupportedModulus
 from overcubic.etaq import (
@@ -201,6 +201,69 @@ def test_exact_ceiling_estimate_bounds_the_peak(monkeypatch, m, n):
     finally:
         tracemalloc.stop()
     assert peak <= etaq.exact_bytes(m.factors, n - m.qpower)
+
+
+def _mul_pass_kinds(monkeypatch) -> list[str]:
+    """The dtype kind ('i' for int64, 'O' for Python integers) of every
+    multiply pass the following builds run, with an empty memo."""
+    kinds = []
+    mul_pass = etaq._mul_pass
+
+    def spy(acc, *rest):
+        kinds.append(acc.dtype.kind)
+        return mul_pass(acc, *rest)
+
+    monkeypatch.setattr(etaq, "_mul_pass", spy)
+    monkeypatch.setattr(etaq, "_memo", {})
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "factors,n,crosses",
+    [
+        # the certificate's prefactor at order 1000: f1^69 and f4^30 start on
+        # int64 and cross 2^63 partway, then f2^-29 and f8^-64 divide
+        (PREFACTOR.factors, 1016, True),
+        (((1, 60), (2, 30)), 300, True),
+        # multiply passes that stay below 2^63, then divide passes
+        (((1, -3), (4, 20)), 1000, False),
+        (TRIPLE.factors, 1000, False),
+        # a build on int64 words throughout, returned as Python integers
+        (((1, 6), (2, 6)), 2000, False),
+    ],
+    ids=["prefactor", "f1^60*f2^30", "f1^-3*f4^20", "triple", "f1^6*f2^6"],
+)
+def test_int64_route_matches_naive_euler_products(monkeypatch, factors, n, crosses):
+    kinds = _mul_pass_kinds(monkeypatch)
+    got = etaq._expand_factors(factors, n, None)
+    assert got.dtype == object and all(type(c) is int for c in got)
+    ref = one(n)
+    for delta, r in factors:
+        ref = mul(ref, power(ts(naive_euler_product(delta, n)), r))
+    assert got.tolist() == ref.window(0, n)
+    # both routes are exercised: every build starts on int64, and only the
+    # crossing ones finish their multiply passes on Python integers
+    assert kinds[0] == "i"
+    assert ("O" in kinds) == crosses
+    assert max(abs(c) for c in got).bit_length() > 63 or not crosses
+
+
+def test_int64_route_takes_the_pass_bound(monkeypatch):
+    # f1^3 has sum|c| = 1 + 3 + 5 + ... and f1^60 reaches 2^63 in a few
+    # passes: a pass runs on int64 exactly while max|acc| * sum|c| < 2^63
+    n = 200
+    kinds = _mul_pass_kinds(monkeypatch)
+    weight = sum(abs(c) for _, c in etaq.cube_terms(1, n))
+    f1 = naive_euler_product(1, n)
+    f1_cubed = naive_convolution(naive_convolution(f1, f1), f1)
+    acc = [1] + [0] * (n - 1)
+    expected = []
+    for _ in range(20):
+        bound = max(map(abs, acc)) * weight
+        expected.append("i" if bound < 1 << 63 and "O" not in expected else "O")
+        acc = naive_convolution(acc, f1_cubed)
+    assert etaq._expand_factors(((1, 60),), n, None).tolist() == acc
+    assert kinds == expected and "i" in kinds and "O" in kinds
 
 
 def test_residue_array_rejects_bad_inputs():
