@@ -37,8 +37,8 @@ class RaduCertificate:
             raise ValueError("polynomial must be nonempty")
         if not self.orbit:
             raise ValueError("orbit must be nonempty")
-        if any(not 0 <= j < self.m for j in self.orbit):
-            raise ValueError("orbit entries must lie in [0, m)")
+        for j in self.orbit:
+            progression_order(self.m, j, 1)  # the one progression rule
         if self.claimed_common_factor < 1:
             raise ValueError("claimed common factor must be positive")
 

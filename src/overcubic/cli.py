@@ -18,16 +18,27 @@ from .errors import QSeriesError
 from .reporting import CONGRUENCE_COLUMNS, to_csv, to_json
 
 
-def _parse_ints(text: str, flag: str) -> list[int]:
-    """The comma-separated integers of `flag`.  Text with no item at all
-    gives [], for the caller to refuse; an empty item beside others is
-    refused here, not read as nothing."""
+def _parse_ints(text: str, flag: str, width: int = 1) -> list:
+    """The comma-separated integers of `flag`, or with width 2 its pairs
+    delta:r.  Text with no item at all gives [], for the caller to refuse;
+    an empty item beside others, or one of another form, is refused here
+    with the flag named, not read as nothing or as something else."""
     items = text.replace(" ", "").split(",")
     if not any(items):
         return []
     if not all(items):
         raise ValueError(f"{flag} has an empty item in {text!r}")
-    return [int(x) for x in items]
+    values = []
+    for item in items:
+        try:
+            value = tuple(map(int, item.split(":")))
+        except ValueError:
+            value = ()
+        if len(value) != width:
+            form = "an integer" if width == 1 else "two integers delta:r"
+            raise ValueError(f"{flag} item {item!r} is not {form}")
+        values.append(value if width > 1 else value[0])
+    return values
 
 
 def _parse_progression(text: str) -> tuple[int, int]:
@@ -38,12 +49,6 @@ def _parse_progression(text: str) -> tuple[int, int]:
     return values[0], values[1]
 
 
-def _parse_factors(text: str) -> list[tuple[int, int]]:
-    """(delta, r) pairs in the given order; FMonomial refuses a repeated delta."""
-    pairs = (item.partition(":") for item in text.replace(" ", "").split(",") if item)
-    return [(int(d), int(r)) for d, _, r in pairs]
-
-
 def _monomial_from_args(args) -> etaq.FMonomial:
     """--coefficient times q^--qpower times the family's or the factors' monomial."""
     if args.family is not None:
@@ -51,7 +56,8 @@ def _monomial_from_args(args) -> etaq.FMonomial:
     elif args.k != 1:
         raise ValueError("--k is a family's tuple length; --factors takes only --k 1")
     else:
-        base = etaq.FMonomial.make(factors=_parse_factors(args.factors))
+        # (delta, r) pairs in the given order; FMonomial refuses a repeated delta
+        base = etaq.FMonomial.make(factors=_parse_ints(args.factors, "--factors", 2))
     return etaq.FMonomial(args.coefficient, args.qpower + base.qpower, base.factors)
 
 
@@ -375,7 +381,7 @@ def _with_job(path: str, argv: list[str]) -> list[str]:
     if not isinstance(job, dict):
         raise ValueError(f"job file {path} must hold a JSON object of flags")
     for key, value in job.items():
-        if isinstance(value, (list, dict)):
+        if value is None or isinstance(value, (bool, list, dict)):
             raise ValueError(
                 f"job file {path}: the value of {key!r} must be a number or a string,"
                 f" not {type(value).__name__} {json.dumps(value)}"

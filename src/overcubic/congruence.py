@@ -33,8 +33,7 @@ class CongruenceClaim:
 
     def __post_init__(self):
         dissect.progression_order(self.m, self.j, 1)  # the one progression rule
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
+        etaq.residue_modulus(self.modulus)  # the one modulus rule
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.status not in STATUSES:
@@ -139,8 +138,8 @@ def scan(
         raise ValueError("n_min must be >= 100 to avoid vacuous discoveries")
     if not moduli:
         raise ValueError("need at least one modulus")
-    if any(M < 2 for M in moduli):
-        raise ValueError("moduli must be >= 2")
+    for M in moduli:
+        etaq.residue_modulus(M)  # the one modulus rule, before the first build
     order = scan_order(max_m, n_min)
     mon = etaq.family_monomial(family)
     arrays = {modulus: etaq.residue_array(mon, order, modulus) for modulus in moduli}

@@ -67,8 +67,7 @@ def compute_density(
     with a nonzero residue) is materialized only for residue 0.  Apart from
     the residue array, no full-length array is built: hits are counted per
     grid segment, and only the exceptions' indices are kept."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
+    etaq.residue_modulus(modulus)  # the one modulus rule
     if not 0 <= residue < modulus:
         raise ValueError("residue must lie in [0, modulus)")
     grid = sorted(set(int(x) for x in x_grid))

@@ -68,8 +68,8 @@ class IdentityClaim:
     def __post_init__(self):
         if self.lhs_progression is not None:
             progression_order(*self.lhs_progression, 1)  # the one progression rule
-        if self.modulus is not None and self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
+        if self.modulus is not None:
+            etaq.residue_modulus(self.modulus)  # the one modulus rule
 
 
 def progression_order(m: int, j: int, n: int) -> int:

@@ -13,7 +13,8 @@ power-of-two modulus up to 2^63); and Z/M for a small odd M, as uint64
 reduced after every pass.  A build runs its multiply passes before its
 divide passes.  expand is the one series entry point, exact or mod M.
 residue_array, the array primitive under its residue route, splits a
-modulus into its power-of-two and odd parts and recombines them by CRT.
+modulus into its power-of-two and odd parts and recombines them by CRT;
+residue_modulus is the one check of which moduli it serves.
 """
 from __future__ import annotations
 
@@ -263,23 +264,11 @@ def _expand_factors(factors: tuple[tuple[int, int], ...], n: int, ring: int | No
     return _cached((factors, ring), n, build)[:n]
 
 
-def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
-    """Residues mod `modulus` of the monomial's coefficients for exponents
-    [0, order), as a uint64 array.  Only valuation-0 monomials are accepted
-    here; congruence scans never need a principal part.
-
-    Any modulus M <= 2^63 whose odd part is at most 2^15 is served: the
-    power-of-two part reads the cached word array, the odd part the
-    reduced array, and a composite M combines the two by CRT.  Orders
-    above MAX_ORDER are refused before anything is allocated."""
-    if monomial.qpower != 0:
-        raise ValueError("residue scans expect a valuation-0 monomial")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order > MAX_ORDER:
-        raise InsufficientPrecision(
-            f"required order {order} above the configured ceiling {MAX_ORDER}"
-        )
+def residue_modulus(modulus: int) -> tuple[int, int]:
+    """The power-of-two and odd parts of a modulus the residue engine
+    serves: 2 <= M <= 2^63 with an odd part at most 2^15.  This is the one
+    check of a residue modulus; claims, scans and density reports call it
+    when they are made, so an unserved modulus is refused before any build."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     two = modulus & -modulus
@@ -288,6 +277,27 @@ def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
         raise UnsupportedModulus(
             f"modulus {modulus} outside the residue range (M <= 2^63, odd part <= 2^15)"
         )
+    return two, odd
+
+
+def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
+    """Residues mod `modulus` of the monomial's coefficients for exponents
+    [0, order), as a uint64 array.  Only valuation-0 monomials are accepted
+    here; congruence scans never need a principal part.
+
+    Any modulus residue_modulus accepts is served: the power-of-two part
+    reads the cached word array, the odd part the reduced array, and a
+    composite M combines the two by CRT.  Orders above MAX_ORDER are
+    refused before anything is allocated."""
+    if monomial.qpower != 0:
+        raise ValueError("residue scans expect a valuation-0 monomial")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order > MAX_ORDER:
+        raise InsufficientPrecision(
+            f"required order {order} above the configured ceiling {MAX_ORDER}"
+        )
+    two, odd = residue_modulus(modulus)
     c = monomial.coefficient % modulus
     if c == 0:
         return np.zeros(order, np.uint64)

@@ -346,6 +346,33 @@ BAD_INPUTS = {
         ["verify", "--job", "{file}", "--progression", "8,7"],
         {"family": "overcubic", "mod": {"value": 4}, "n_limit": 3},
     ),
+    # a job value of null reached argparse as the text None, and --output
+    # None wrote the report to a file of that name
+    "job-null-value": (
+        ["verify", "--job", "{file}"],
+        {"family": "overcubic", "mod": 4, "n_limit": 3, "progression": "8,7", "output": None},
+    ),
+    "job-bool-value": (
+        ["verify", "--job", "{file}"],
+        {"family": "overcubic", "mod": 4, "n_limit": 3, "progression": "8,7", "output": True},
+    ),
+    # --factors follows the comma-list rule of the other list flags: f1*f2^3
+    # was expanded here
+    "expand-factors-empty-item": (["expand", "--factors", "1:1,,2:3", "--order", "5"], None),
+    # a list item that is not an integer is refused with the flag and the
+    # item named, not with int()'s own message
+    "coeffs-indices-non-integer": (["coeffs", "--family", "overcubic", "--indices", "3,x"], None),
+    "expand-factors-non-integer": (["expand", "--factors", "1:x", "--order", "5"], None),
+    "expand-factors-no-exponent": (["expand", "--factors", "1", "--order", "5"], None),
+    # a scan checks every modulus by the engine's rule before its first build
+    "scan-moduli-odd-part-above-2-15": (
+        ["scan", "--family", "partition", "--max-m", "5", "--moduli", "4,65537", "--n-min", "150"],
+        None,
+    ),
+    "scan-moduli-1": (
+        ["scan", "--family", "partition", "--max-m", "5", "--moduli", "1,4", "--n-min", "150"],
+        None,
+    ),
     # --progression is two integers m,j, in verify as in coeffs
     "coeffs-progression-one-value": (
         ["coeffs", "--family", "overcubic", "--progression", "2"], None
@@ -509,6 +536,16 @@ BAD_INPUT_MESSAGES = {
     " not list [8, 7]",
     "job-object-value": "input.json: the value of 'mod' must be a number or a string,"
     " not dict {\"value\": 4}",
+    "job-null-value": "input.json: the value of 'output' must be a number or a string,"
+    " not NoneType null",
+    "job-bool-value": "input.json: the value of 'output' must be a number or a string,"
+    " not bool true",
+    "expand-factors-empty-item": "--factors has an empty item in '1:1,,2:3'",
+    "coeffs-indices-non-integer": "--indices item 'x' is not an integer",
+    "expand-factors-non-integer": "--factors item '1:x' is not two integers delta:r",
+    "expand-factors-no-exponent": "--factors item '1' is not two integers delta:r",
+    "scan-moduli-odd-part-above-2-15": "UnsupportedModulus: modulus 65537 outside the residue range",
+    "scan-moduli-1": "modulus must be >= 2",
     "verify-progression-m-0": "m must be >= 1",
     "verify-progression-offset-not-below-m": "0 <= j < m",
     "identity-exact-ceiling": "above the exact-path ceiling",
@@ -570,6 +607,45 @@ def test_format_csv_is_refused_before_any_expansion(monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid choice: 'csv'" in captured.err
+
+
+# an identity catalog whose first entry, checked mod 4, is the larger build
+MOD4_THEN_UNSERVED = [
+    {"name": "even-part-mod4", "lhs": {"family": {"name": "overcubic-triple"}},
+     "lhs_progression": [2, 0], "modulus": 4,
+     "rhs": {"sum": [{"factors": {"2": 3, "4": 15, "1": -18, "8": -6}}]}},
+    {"name": "unserved", "lhs": {"sum": [{"factors": {"1": -1}}]},
+     "rhs": {"sum": [{"factors": {"1": -1}}]}, "modulus": 65537},
+]
+
+
+@pytest.mark.parametrize(
+    "argv,content,message",
+    [
+        (["scan", "--family", "overcubic-ktuple", "--k", "5", "--max-m", "64", "--moduli",
+          f"{1 << 40},65537", "--n-min", "2000"], None, "UnsupportedModulus: modulus 65537"),
+        (["identity", "--catalog", "{file}", "--order", "300000"], MOD4_THEN_UNSERVED,
+         "UnsupportedModulus: modulus 65537"),
+        (["certificate", "--cert", "{file}"], {**CERT, "m": 0}, "m must be >= 1"),
+        (["certificate", "--cert", "{file}"], {**CERT, "orbit": [7, 8]}, "0 <= j < m"),
+    ],
+    ids=["scan-unserved-modulus", "catalog-unserved-modulus", "certificate-m-0",
+         "certificate-orbit-not-below-m"],
+)
+def test_a_claim_is_refused_when_it_is_made_before_any_build(
+    monkeypatch, tmp_path, capsys, argv, content, message
+):
+    def no_build(*args):
+        raise AssertionError("expanded before the claim was checked")
+
+    monkeypatch.setattr(etaq, "_expand_factors", no_build)
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    assert main([a.format(file=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("mod", [[], ["--mod", "4"]], ids=["exact", "mod"])

@@ -128,7 +128,9 @@ monomials = st.builds(
         st.integers(min_value=1, max_value=16), st.integers(min_value=-7, max_value=7), max_size=4
     ),
 )
-RESIDUE_MODULI = (2, 64, 3, 9, 384, 6, 12, 96, 3 << 40, 32749 << 20, 1 << 63)
+RESIDUE_MODULI = (
+    2, 64, 3, 9, 384, 6, 12, 96, 32767, 3 << 40, 32749 << 20, 3 << 61, 1 << 63
+)
 
 
 @given(
@@ -273,6 +275,37 @@ def test_residue_array_rejects_bad_inputs():
         residue_array(TRIPLE, 10, (1 << 20) + 1)
     with pytest.raises(UnsupportedModulus):  # even when no coefficient is in the window
         expand(FMonomial.make(qpower=50, factors={1: -3}), 40, 3 << 62)
+
+
+# the residue range, 2 <= M <= 2^63 with an odd part at most 2^15, at its
+# edges: each modulus with the error it is refused with, or None if served
+MODULUS_EDGES = {
+    2: None,
+    384: None,
+    (1 << 15) - 1: None,
+    1 << 15: None,
+    3 << 61: None,
+    1 << 63: None,
+    0: ValueError,
+    1: ValueError,
+    (1 << 15) + 1: UnsupportedModulus,
+    (1 << 63) + 2: UnsupportedModulus,
+    3 << 62: UnsupportedModulus,
+    1 << 64: UnsupportedModulus,
+}
+EDGE_MESSAGES = {ValueError: "modulus must be >= 2", UnsupportedModulus: "outside the residue range"}
+
+
+@pytest.mark.parametrize("modulus", MODULUS_EDGES, ids=hex)
+def test_residue_modulus_at_the_edges_of_its_range(modulus):
+    error = MODULUS_EDGES[modulus]
+    if error is not None:
+        with pytest.raises(error, match=EDGE_MESSAGES[error]):
+            etaq.residue_modulus(modulus)
+        return
+    two, odd = etaq.residue_modulus(modulus)
+    assert two * odd == modulus and two & (two - 1) == 0 and odd % 2 == 1
+    assert expand(TRIPLE, 60, modulus) == reduce_mod(expand(TRIPLE, 60), modulus)
 
 
 @pytest.mark.parametrize("coefficient,modulus", [(4, 4), (-8, 4), (12, 12), (36, 12)])
