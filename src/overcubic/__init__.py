@@ -14,18 +14,9 @@ from .series import (  # noqa: F401
     reduce_mod,
     shift,
 )
-from .etaq import (  # noqa: F401
-    Family,
-    FMonomial,
-    cotron_check,
-    expand,
-    family_monomial,
-    phi,
-    psi,
-    sellers_product,
-)
+from .etaq import FMonomial, cotron_check, expand, phi, psi, sellers_product  # noqa: F401
 from .dissect import IdentityClaim, extract_progression, interleave, verify_identity  # noqa: F401
 from .congruence import CongruenceClaim, run_suites, scan, verify_congruence  # noqa: F401
 from .certify import RaduCertificate, verify_certificate  # noqa: F401
-from .catalogs import load_certificate  # noqa: F401
+from .catalogs import Family, load_certificate  # noqa: F401
 from .density import DensityReport, compute_density, exception_structure_check  # noqa: F401

@@ -10,6 +10,7 @@ a string; factor keys are decimal strings, names strings and sums lists.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -77,7 +78,7 @@ def _sum(d: dict) -> tuple[etaq.FMonomial, ...]:
 @lru_cache(maxsize=1)
 def family_table() -> dict[str, tuple[etaq.FMonomial, bool]]:
     """name -> (monomial, tuple flag).  A tuple family stores one member's
-    f-product; etaq.family_monomial raises it to the k-th power."""
+    f-product; Family.monomial raises it to the k-th power."""
     return read(
         "families/catalog.json",
         "family catalog",
@@ -88,13 +89,40 @@ def family_table() -> dict[str, tuple[etaq.FMonomial, bool]]:
     )
 
 
+@dataclass(frozen=True)
+class Family:
+    """A named generating function of the family catalog; k is the tuple
+    length of a tuple family, and must be 1 for the others."""
+
+    name: str
+    k: int = 1
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        entry = family_table().get(self.name)
+        if entry is None:
+            known = ", ".join(sorted(family_table()))
+            raise ValueError(f"unknown family {self.name!r}; known: {known}")
+        if self.k != 1 and not entry[1]:
+            raise ValueError(f"family {self.name!r} has no tuple length; k must be 1")
+
+    @property
+    def monomial(self) -> etaq.FMonomial:
+        """The family's monomial; for a tuple family, its member to the k-th power."""
+        member, _ = family_table()[self.name]
+        k = self.k
+        factors = [(d, r * k) for d, r in member.factors]
+        return etaq.FMonomial.make(member.coefficient**k, member.qpower * k, factors)
+
+
 def claim_from_dict(d: dict) -> dissect.IdentityClaim:
     """One identity entry; a {"family": {"name", "k"}} left side becomes
     the one-term sum of that family's monomial."""
     lhs = d["lhs"]
     if "family" in lhs:
         f = lhs["family"]
-        lhs = (etaq.family_monomial(etaq.Family(_typed(f["name"], str), _typed(f.get("k", 1)))),)
+        lhs = (Family(_typed(f["name"], str), _typed(f.get("k", 1))).monomial,)
     else:
         lhs = _sum(lhs)
     return dissect.IdentityClaim(

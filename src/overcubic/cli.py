@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, catalogs, certify, congruence, density, dissect, etaq, oracle
+from .catalogs import Family
 from .errors import QSeriesError
 from .reporting import CONGRUENCE_COLUMNS, to_csv, to_json
 
@@ -52,7 +53,7 @@ def _parse_progression(text: str) -> tuple[int, int]:
 def _monomial_from_args(args) -> etaq.FMonomial:
     """--coefficient times q^--qpower times the family's or the factors' monomial."""
     if args.family is not None:
-        base = etaq.family_monomial(etaq.Family(args.family, args.k))
+        base = Family(args.family, args.k).monomial
     elif args.k != 1:
         raise ValueError("--k is a family's tuple length; --factors takes only --k 1")
     else:
@@ -135,7 +136,7 @@ def cmd_coeffs(args) -> int:
 def cmd_verify(args) -> int:
     m, j = _parse_progression(args.progression)
     claim = congruence.CongruenceClaim(
-        family=etaq.Family(args.family, args.k),
+        family=Family(args.family, args.k),
         m=m,
         j=j,
         modulus=args.mod,
@@ -161,12 +162,12 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     moduli = _parse_ints(args.moduli, "--moduli")
-    claims = congruence.scan(etaq.Family(args.family, args.k), args.max_m, moduli, args.n_min)
+    claims = congruence.scan(Family(args.family, args.k), args.max_m, moduli, args.n_min)
     parameters = {
         "family": args.family,
         "k": args.k,
         "max_m": args.max_m,
-        "moduli": sorted(moduli),
+        "moduli": congruence.scan_moduli(moduli),
         "n_min": args.n_min,
         "order": congruence.scan_order(args.max_m, args.n_min),
     }
@@ -222,7 +223,7 @@ def cmd_certificate(args) -> int:
 
 def cmd_density(args) -> int:
     grid = _parse_ints(args.x_grid, "--x-grid")
-    report = density.compute_density(etaq.Family(args.family, args.k), args.mod, args.residue, grid)
+    report = density.compute_density(Family(args.family, args.k), args.mod, args.residue, grid)
     return _report(
         args,
         "density",
@@ -233,7 +234,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    etaq.Family(args.family, args.k)  # the k check every command applies
+    Family(args.family, args.k)  # the k check every command applies
     table = oracle.table(args.family, args.max_n, args.k)
     rows = [{"n": n, "count": c} for n, c in enumerate(table)]
     return _report(
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progression", help="m,j", required=True)
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--n-limit", type=int, required=True)
-    p.add_argument("--status", choices=congruence.STATUSES, default="proved-in-paper")
+    p.add_argument("--status", choices=congruence.STATUSES, default=congruence.PROVED)
     _add_output_options(p)
     p.set_defaults(func=cmd_verify)
 

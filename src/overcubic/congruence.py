@@ -13,18 +13,18 @@ from typing import Iterable
 import numpy as np
 
 from . import catalogs, certify, density, dissect, etaq
+from .catalogs import Family
 from .reporting import VerificationResult
-
-STATUSES = ("proved-in-paper", "conjectured", "discovered")
 
 PROVED = "proved-in-paper"
 CONJECTURED = "conjectured"
+STATUSES = (PROVED, CONJECTURED, "discovered")
 CONJECTURE_LABEL = "conjectured, numerical evidence only"
 
 
 @dataclass(frozen=True)
 class CongruenceClaim:
-    family: etaq.Family
+    family: Family
     m: int
     j: int
     modulus: int
@@ -70,7 +70,7 @@ def verify_congruence(
     violating n on failure.  The result's status is `label`, by default the
     claim's status."""
     order = required_order(claim, n_limit)
-    arr = etaq.residue_array(etaq.family_monomial(claim.family), order, claim.modulus)
+    arr = etaq.residue_array(claim.family.monomial, order, claim.modulus)
     # arr ends at index (m n_limit + j) 2^alpha, so the slice is n = 0..n_limit
     hits = np.nonzero(arr[claim.j << claim.alpha :: claim.m << claim.alpha])[0]
     first = int(hits[0]) if hits.size else None
@@ -105,7 +105,7 @@ def nonresidue_progressions(p: int, k: int) -> list[CongruenceClaim]:
         raise ValueError("p must be an odd prime >= 3")
     if k < 0:
         raise ValueError("k must be >= 0")
-    family = etaq.Family("overcubic-ktuple", 2 * k + 1)
+    family = Family("overcubic-ktuple", 2 * k + 1)
     claims = []
     for r in range(1, p):
         if legendre(r, p) == -1:
@@ -124,24 +124,31 @@ def scan_order(max_m: int, n_min: int) -> int:
     return 2 * max_m * n_min + max_m
 
 
+def scan_moduli(moduli: Iterable[int]) -> list[int]:
+    """The moduli a scan checks: each candidate once, ascending, every one
+    passed by the one modulus rule before the first build."""
+    moduli = sorted(set(moduli))
+    if not moduli:
+        raise ValueError("need at least one modulus")
+    for M in moduli:
+        etaq.residue_modulus(M)
+    return moduli
+
+
 def scan(
-    family: etaq.Family, max_m: int, moduli: Iterable[int], n_min: int = 500
+    family: Family, max_m: int, moduli: Iterable[int], n_min: int = 500
 ) -> list[CongruenceClaim]:
     """Report, for each progression (m <= max_m, j < m), the largest of
     `moduli` dividing every sampled coefficient.  A claim is kept only when
     the winning modulus at n_min samples is unchanged at twice as many,
     which suppresses truncation-order artifacts."""
-    moduli = sorted(set(moduli), reverse=True)
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     if n_min < 100:
         raise ValueError("n_min must be >= 100 to avoid vacuous discoveries")
-    if not moduli:
-        raise ValueError("need at least one modulus")
-    for M in moduli:
-        etaq.residue_modulus(M)  # the one modulus rule, before the first build
+    moduli = scan_moduli(moduli)[::-1]  # largest first, the one a progression reports
     order = scan_order(max_m, n_min)
-    mon = etaq.family_monomial(family)
+    mon = family.monomial
     arrays = {modulus: etaq.residue_array(mon, order, modulus) for modulus in moduli}
 
     def winning_modulus(m: int, j: int, samples: int) -> int | None:
@@ -193,7 +200,7 @@ def _claims(table, alpha_limit=0, status=PROVED, families=(("overcubic-triple", 
     """Claims 2^a(m n + j) mod M of each (m, j, M) row, each family and each
     a in [0, alpha_limit]."""
     return [
-        CongruenceClaim(etaq.Family(*f), m=m, j=j, modulus=M, alpha=a, status=status)
+        CongruenceClaim(Family(*f), m=m, j=j, modulus=M, alpha=a, status=status)
         for f in families
         for (m, j, M) in table
         for a in range(alpha_limit + 1)
@@ -203,8 +210,8 @@ def _claims(table, alpha_limit=0, status=PROVED, families=(("overcubic-triple", 
 def tuple_vs_single_mod4(k: int, order: int) -> VerificationResult:
     """Coefficientwise congruence mod 4 between the (2k+1)-tuple family and
     the single overcubic family, checked below `order`."""
-    mon_tuple = etaq.family_monomial(etaq.Family("overcubic-ktuple", 2 * k + 1))
-    mon_single = etaq.family_monomial(etaq.Family("overcubic"))
+    mon_tuple = Family("overcubic-ktuple", 2 * k + 1).monomial
+    mon_single = Family("overcubic").monomial
     a = etaq.residue_array(mon_tuple, order, 4)
     b = etaq.residue_array(mon_single, order, 4)
     hits = np.nonzero(a != b)[0]
@@ -226,7 +233,7 @@ _LACUNARY_GRID = [100, 1000, 10000]
 def _lacunary_results() -> list:
     results = []
     for k in range(1, 5):
-        rep = etaq.cotron_check(etaq.family_monomial(etaq.Family("overcubic-ktuple", k)), 2)
+        rep = etaq.cotron_check(Family("overcubic-ktuple", k).monomial, 2)
         results.append(
             VerificationResult(
                 name=f"divisibility-criterion k={k}",
@@ -241,7 +248,7 @@ def _lacunary_results() -> list:
             )
         )
     for e in (3, 4, 5, 6):
-        rep = density.compute_density(etaq.Family("overcubic-triple"), 1 << e, 0, _LACUNARY_GRID)
+        rep = density.compute_density(Family("overcubic-triple"), 1 << e, 0, _LACUNARY_GRID)
         deltas = [row[2] for row in rep.rows]
         ok = all(a <= b for a, b in zip(deltas, deltas[1:]))
         results.append(

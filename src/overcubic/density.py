@@ -15,6 +15,7 @@ from math import isqrt
 import numpy as np
 
 from . import etaq
+from .catalogs import Family
 from .reporting import to_csv
 
 INDEX_CONVENTION = "indices run 1 <= n <= X (n = 0 excluded)"
@@ -58,7 +59,7 @@ class DensityReport:
 
 
 def compute_density(
-    family: etaq.Family,
+    family: Family,
     modulus: int,
     residue: int,
     x_grid: list[int],
@@ -74,7 +75,7 @@ def compute_density(
     if not grid or grid[0] < 1:
         raise ValueError("grid values must be >= 1")
     x_max = grid[-1]
-    arr = etaq.residue_array(etaq.family_monomial(family), x_max + 1, modulus)
+    arr = etaq.residue_array(family.monomial, x_max + 1, modulus)
     rows = []
     count = 0
     start = 1  # index 0 excluded
@@ -102,6 +103,6 @@ def exception_structure_check(k: int, x: int) -> bool:
     twice-squares."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    family = etaq.Family("overcubic-ktuple", 2 * k + 1)
+    family = Family("overcubic-ktuple", 2 * k + 1)
     report = compute_density(family, 4, 0, [x])
     return set(report.exceptions) == squares_and_twice_squares(x)

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InsufficientPrecision, NonIntegerWeight, UnsupportedModulus
-from .series import TruncatedSeries, reduce_mod, zero
+from .series import TruncatedSeries, dilate, mul, power, reduce_mod, zero
 
 # hard ceiling on residue expansion orders so a mistyped size fails fast
 MAX_ORDER = 4_000_000
@@ -363,19 +363,23 @@ def expand(
 
     A term c * q^e * prod f_delta^r fills the window [e, n); an empty
     window or c = 0 gives zero.  An empty sum is zero, a one-term sum is
-    that term's series, and a residue sum is reduced once, at the end."""
+    that term's series, and a residue sum is reduced once, at the end.  A
+    modulus passes residue_modulus before any term, so an empty sum and an
+    empty window are refused an unserved modulus too."""
     if n < 1:
         raise ValueError("order must be >= 1")
+    if modulus is not None:
+        residue_modulus(modulus)
 
     def term(t: FMonomial) -> TruncatedSeries:
-        length = n - t.qpower
-        if modulus is None:
-            if length < 1 or not t.coefficient:
-                return zero(n)
-            return TruncatedSeries.make(t.qpower, expand_monomial(t, n), n)
-        # an empty window still goes through residue_array, which checks the modulus
-        arr = residue_array(FMonomial(t.coefficient, 0, t.factors), max(length, 1), modulus)
-        return TruncatedSeries.make(t.qpower, arr.tolist(), n) if length > 0 else zero(n)
+        if t.qpower >= n:
+            return zero(n)
+        if modulus is not None:
+            arr = residue_array(FMonomial(t.coefficient, 0, t.factors), n - t.qpower, modulus)
+            return TruncatedSeries.make(t.qpower, arr.tolist(), n)
+        if not t.coefficient:
+            return zero(n)
+        return TruncatedSeries.make(t.qpower, expand_monomial(t, n), n)
 
     series = map(term, (terms,) if isinstance(terms, FMonomial) else terms)
     first = next(series, zero(n))
@@ -420,8 +424,6 @@ def sellers_product(t: int, n: int) -> TruncatedSeries:
     Factors with 2^i > n contribute only 1 below q^n and are dropped.  Each
     factor is powered before dilation, which keeps the intermediate series
     short."""
-    from .series import dilate, mul, power  # local import keeps module top tidy
-
     if t < 1:
         raise ValueError("t must be >= 1")
     if n < 1:
@@ -483,39 +485,3 @@ def cotron_check(g: FMonomial, p: int) -> CriterionReport:
     bound_sq = Fraction(s_sum) / t_sum
     lacunary = Fraction(p ** (2 * a)) >= bound_sq
     return CriterionReport(p, a, p**a, bound_sq, lacunary)
-
-
-# ---------------------------------------------------------------------------
-# named generating-function families
-
-
-@dataclass(frozen=True)
-class Family:
-    """A named generating function; k is the tuple length of a tuple family,
-    whose catalog entry is one member's f-product, and must be 1 for the
-    others."""
-
-    name: str
-    k: int = 1
-
-    def __post_init__(self):
-        from . import catalogs  # catalogs reads families into this module's types
-
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        entry = catalogs.family_table().get(self.name)
-        if entry is None:
-            known = ", ".join(sorted(catalogs.family_table()))
-            raise ValueError(f"unknown family {self.name!r}; known: {known}")
-        if self.k != 1 and not entry[1]:
-            raise ValueError(f"family {self.name!r} has no tuple length; k must be 1")
-
-
-def family_monomial(family: Family) -> FMonomial:
-    """The family's monomial; for a tuple family, its member to the k-th power."""
-    from . import catalogs
-
-    member, _ = catalogs.family_table()[family.name]
-    k = family.k
-    factors = [(d, r * k) for d, r in member.factors]
-    return FMonomial.make(member.coefficient**k, member.qpower * k, factors)

@@ -28,7 +28,7 @@ from overcubic.series import (
     sub,
 )
 
-TRIPLE = etaq.Family("overcubic-triple")
+TRIPLE = catalogs.Family("overcubic-triple")
 
 
 # -- criterion 1: the ten fixed progressions, n <= 1000, under 60 s -------------
@@ -93,8 +93,8 @@ def test_c5_tuple_vs_single_mod4_to_2000():
 
 def test_c5_exact_difference_reduces_to_zero():
     n = 2000
-    tuple3 = etaq.expand(etaq.family_monomial(etaq.Family("overcubic-ktuple", 3)), n)
-    single = etaq.expand(etaq.family_monomial(etaq.Family("overcubic")), n)
+    tuple3 = etaq.expand(catalogs.Family("overcubic-ktuple", 3).monomial, n)
+    single = etaq.expand(catalogs.Family("overcubic").monomial, n)
     assert reduce_mod(sub(tuple3, single), 4).is_zero()
 
 
@@ -165,13 +165,13 @@ def test_c8_any_single_bit_flip_is_rejected(certificate):
      ("opt-ktuple", 1), ("opt-ktuple", 2)],
 )
 def test_c9_series_equals_enumeration(family, k):
-    series = etaq.expand(etaq.family_monomial(etaq.Family(family, k)), 26)
+    series = etaq.expand(catalogs.Family(family, k).monomial, 26)
     assert series.window(0, 26) == oracle.table(family, 25, k)
 
 
 def test_c9_anchored_spot_values():
     assert inv(f_series(1, 6))[5] == 7  # seven partitions of five
-    triple = etaq.expand(etaq.family_monomial(TRIPLE), 26)
+    triple = etaq.expand(TRIPLE.monomial, 26)
     assert all(triple[n] % 2 == 0 for n in range(1, 26))
 
 
@@ -198,7 +198,7 @@ def test_c10_density_trend_is_monotone():
 
 
 def test_c10_divisibility_criterion_report():
-    rep = etaq.cotron_check(etaq.family_monomial(etaq.Family("overcubic-ktuple", 3)), 2)
+    rep = etaq.cotron_check(catalogs.Family("overcubic-ktuple", 3).monomial, 2)
     assert rep.max_power_exponent == 2
     assert rep.prime_power == 4
     assert rep.bound_squared == Fraction(16)

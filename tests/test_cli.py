@@ -124,6 +124,15 @@ def test_scan_subcommand(capsys):
     assert {(r["m"], r["j"], r["modulus"]) for r in report["records"]} == {(5, 4, 5)}
 
 
+def test_scan_echoes_each_modulus_once(capsys):
+    code, out = run_cli(
+        capsys, "scan", "--family", "partition", "--max-m", "2", "--moduli", "2,2",
+        "--n-min", "100"
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"]["moduli"] == [2]
+
+
 def test_certificate_subcommand(capsys):
     code, out = run_cli(capsys, "certificate", "--order", "100")
     assert code == 0

@@ -3,7 +3,8 @@ import pytest
 
 from overcubic import congruence as cg, etaq
 from overcubic.errors import InsufficientPrecision
-from overcubic.etaq import Family, family_monomial, residue_array
+from overcubic.catalogs import Family
+from overcubic.etaq import residue_array
 
 
 def brute_force_residue_set(p):
@@ -72,7 +73,7 @@ def test_composite_modulus_uses_both_residue_parts():
 
     claim = cg.CongruenceClaim(Family("overcubic-triple"), m=72, j=69, modulus=384)
     assert cg.verify_congruence(claim, 8).passed
-    exact = expand(family_monomial(Family("overcubic-triple")), 72 * 8 + 70)
+    exact = expand(Family("overcubic-triple").monomial, 72 * 8 + 70)
     for n in range(8):
         assert exact[72 * n + 69] % 384 == 0
 
@@ -109,14 +110,14 @@ def test_order_ceiling_guards_scans():
 
 def test_blanket_evenness_of_tuple_coefficients():
     for k in range(1, 6):
-        arr = residue_array(family_monomial(Family("overcubic-ktuple", k)), 10_001, 2)
+        arr = residue_array(Family("overcubic-ktuple", k).monomial, 10_001, 2)
         assert arr[0] == 1
         assert not np.any(arr[1:])
 
 
 def test_double_index_congruence_mod4():
     # coefficients at 2n and at n agree mod 4, checked to index 5000
-    arr = residue_array(family_monomial(Family("overcubic-triple")), 10_001, 4)
+    arr = residue_array(Family("overcubic-triple").monomial, 10_001, 4)
     half = arr[:5001]
     doubled = arr[2 * np.arange(5001)]
     assert np.array_equal(doubled, half)

@@ -7,7 +7,7 @@ from overcubic.density import (
     exception_structure_check,
     squares_and_twice_squares,
 )
-from overcubic.etaq import Family
+from overcubic.catalogs import Family
 
 TRIPLE = Family("overcubic-triple")
 
@@ -44,9 +44,9 @@ def test_residues_partition_the_indices():
 def test_composite_modulus_density():
     # CRT path: counts mod 12 must match direct residue comparison mod 12
     report = compute_density(TRIPLE, 12, 6, [50])
-    from overcubic.etaq import expand, family_monomial
+    from overcubic.etaq import expand
 
-    exact = expand(family_monomial(TRIPLE), 51)
+    exact = expand(TRIPLE.monomial, 51)
     expected = sum(1 for n in range(1, 51) if exact[n] % 12 == 6)
     assert report.rows[0][1] == expected
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import ts
 from overcubic import etaq
-from overcubic.catalogs import claim_from_dict, load_identity_catalog
+from overcubic.catalogs import Family, claim_from_dict, load_identity_catalog
 from overcubic.dissect import (
     IdentityClaim,
     extract_progression,
@@ -16,10 +16,10 @@ from overcubic.dissect import (
     verify_identity,
 )
 from overcubic.errors import NegativeValuation
-from overcubic.etaq import Family, FMonomial, expand, family_monomial
+from overcubic.etaq import FMonomial, expand
 from overcubic.series import equal_to_order, first_difference, inv, reduce_mod
 
-TRIPLE = family_monomial(Family("overcubic-triple"))
+TRIPLE = Family("overcubic-triple").monomial
 
 
 def test_progression_order():
@@ -161,7 +161,7 @@ def test_claim_from_dict_roundtrip():
             "rhs": {"sum": [{"factors": {"2": 3, "4": 15, "1": -18, "8": -6}}]},
         }
     )
-    assert claim.lhs == (family_monomial(Family("overcubic-triple")),)
+    assert claim.lhs == (Family("overcubic-triple").monomial,)
     assert claim.lhs_progression == (2, 0)
     assert verify_identity(claim, 150).passed
 

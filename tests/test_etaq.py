@@ -1,6 +1,8 @@
+import ast
 import tracemalloc
 from fractions import Fraction
 from math import log, pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import f_series, naive_convolution, naive_euler_product, ts
 from overcubic import etaq, oracle
+from overcubic.catalogs import Family
 from overcubic.errors import NonIntegerWeight, UnsupportedModulus
 from overcubic.etaq import (
     CriterionReport,
-    Family,
     FMonomial,
     cotron_check,
     expand,
-    family_monomial,
     phi,
     psi,
     residue_array,
@@ -94,19 +95,19 @@ def test_expand_sum_four_term_identity():
                                     ("overcubic-triple", 1), ("overcubic-ktuple", 4),
                                     ("opt-ktuple", 4), ("partition", 1), ("cubic", 1)])
 def test_family_series_count_something(name, k):
-    s = expand(family_monomial(Family(name, k)), 120)
+    s = expand(Family(name, k).monomial, 120)
     assert s[0] == 1
     assert all(c >= 0 for c in s.coeffs)
 
 
 def test_tuple_family_is_its_member_to_the_kth_power():
-    single = family_monomial(Family("overcubic"))
+    single = Family("overcubic").monomial
     for k in range(1, 13):
         scaled = FMonomial.make(factors=[(d, r * k) for d, r in single.factors])
-        assert family_monomial(Family("overcubic-ktuple", k)) == scaled
+        assert Family("overcubic-ktuple", k).monomial == scaled
     for k, name in ((2, "overcubic-pair"), (3, "overcubic-triple")):
-        assert family_monomial(Family("overcubic-ktuple", k)) == family_monomial(Family(name))
-    assert family_monomial(Family("opt-ktuple")) == FMonomial.make(factors={1: -2, 2: 3, 4: -1})
+        assert Family("overcubic-ktuple", k).monomial == Family(name).monomial
+    assert Family("opt-ktuple").monomial == FMonomial.make(factors={1: -2, 2: 3, 4: -1})
     with pytest.raises(ValueError, match="family 'overcubic' has no tuple length; k must be 1"):
         Family("overcubic", 2)
 
@@ -116,7 +117,7 @@ def test_ktuple_power_law():
     n = 300
     single = expand(SINGLE, n)
     for k in (2, 3, 4):
-        direct = expand(family_monomial(Family("overcubic-ktuple", k)), n)
+        direct = expand(Family("overcubic-ktuple", k).monomial, n)
         assert equal_to_order(direct, power(single, k), n)
 
 
@@ -318,6 +319,22 @@ def test_coefficient_zero_mod_m_builds_nothing(monkeypatch, coefficient, modulus
     assert out.dtype == "uint64" and out.shape == (200_000,) and not out.any()
 
 
+def test_expand_checks_the_modulus_before_any_term(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built a series for an empty sum or an empty window")
+
+    monkeypatch.setattr(etaq, "_expand_factors", no_build)
+    with pytest.raises(UnsupportedModulus, match="modulus 65537 outside the residue range"):
+        expand([], 5, 65537)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        expand([], 5, 1)
+    # a term whose window [qpower, n) is empty is zero, in every ring
+    late = FMonomial.make(qpower=5, factors={1: -3})
+    for modulus in (None, 4, 12):
+        s = expand([late, late], 5, modulus)
+        assert s.is_zero() and s.order == 5
+
+
 def test_crt_residues_leave_the_cache_alone(monkeypatch):
     monkeypatch.setattr(etaq, "_memo", {})
     first = residue_array(TRIPLE, 5000, 384)
@@ -381,14 +398,14 @@ def test_cotron_rejects_half_integer_weight():
 
 def test_cotron_on_odd_overpartition_tuples():
     for k in (1, 2, 5):
-        rep = cotron_check(family_monomial(Family("opt-ktuple", 2 * k)), 2)
+        rep = cotron_check(Family("opt-ktuple", 2 * k).monomial, 2)
         assert rep.max_power_exponent == 1
         assert rep.bound_squared == Fraction(4)
         assert rep.lacunary
 
 
 def test_eta_quotient_fields():
-    g = family_monomial(Family("overcubic-ktuple", 3))
+    g = Family("overcubic-ktuple", 3).monomial
     assert sum(r for _, r in g.factors) == -6  # twice the weight
     # d_g = gcd of the numerator deltas = 4 = 2^2, and 3 does not divide it
     assert cotron_check(g, 2).max_power_exponent == 2
@@ -406,3 +423,22 @@ def test_prime_power_binomial_congruence(p, l, k):
     lhs = power(f_series(k, n), p**l)
     rhs = power(f_series(p * k, n), p ** (l - 1))
     assert equal_to_order(reduce_mod(lhs, p**l), reduce_mod(rhs, p**l), n)
+
+
+# -- layering ----------------------------------------------------------------------
+
+
+def test_imports_sit_at_module_level_and_the_engine_reads_no_catalog():
+    # the engine sits below the catalog reader: etaq takes only errors and
+    # series from the package, and no module defers an import to call time
+    imports = (ast.Import, ast.ImportFrom)
+    for path in sorted(Path(etaq.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lines = [n.lineno for n in ast.walk(fn) if isinstance(n, imports)]
+                assert not lines, f"{path.name} imports inside {fn.name} at lines {lines}"
+    tree = ast.parse(Path(etaq.__file__).read_text())
+    nodes = [n for n in ast.walk(tree) if isinstance(n, imports)]
+    assert not any("overcubic" in ast.unparse(n) for n in nodes)
+    package = {n.module or a.name for n in nodes if getattr(n, "level", 0) for a in n.names}
+    assert package == {"errors", "series"}

@@ -6,7 +6,8 @@ import pytest
 
 from overcubic import catalogs, oracle
 from overcubic.errors import CapExceeded
-from overcubic.etaq import Family, expand, family_monomial
+from overcubic.catalogs import Family
+from overcubic.etaq import expand
 
 
 def test_empty_partition():
@@ -60,7 +61,7 @@ FAMILY_CASES = [(name, 1) for name in sorted(catalogs.family_table())] + [
 def test_series_coefficients_equal_enumeration(family, k):
     # the central anti-bug defense: two independent routes to the same numbers
     n_max = oracle.MAX_N
-    series = expand(family_monomial(Family(family, k)), n_max + 1)
+    series = expand(Family(family, k).monomial, n_max + 1)
     assert series.window(0, n_max + 1) == oracle.table(family, n_max, k)
 
 
