@@ -62,19 +62,18 @@ def _monomial_from_args(args) -> etaq.FMonomial:
     return etaq.FMonomial(args.coefficient, args.qpower + base.qpower, base.factors)
 
 
-def _report(
-    args, command: str, parameters: dict, body: dict, passed: bool = True, csv_text=None
-) -> int:
-    """Write the report envelope (command, parameters, passed) around
-    `body`, or `csv_text` under --format csv; returns the exit code."""
+def _report(args, parameters: dict, body: dict, passed: bool = True, csv=None) -> int:
+    """Write the report envelope (the subcommand, parameters, passed) around
+    `body`, or under --format csv the text of calling `csv`, which is built
+    only then; returns the exit code."""
     if args.format == "csv":
-        text = csv_text
+        text = csv()
     else:
         text = to_json(
             {
                 "tool": "overcubic",
                 "version": __version__,
-                "command": command,
+                "command": args.command,
                 "parameters": parameters,
                 "passed": passed,
                 **body,
@@ -87,6 +86,14 @@ def _report(
     return 0 if passed else 1
 
 
+def _records(args, parameters: dict, results, columns=None) -> int:
+    """The report of checked claims: one record per result, passed when
+    every result passed, and the records' `columns` under --format csv."""
+    records = [r.to_record() for r in results]
+    passed = all(r.passed for r in results)
+    return _report(args, parameters, {"records": records}, passed, lambda: to_csv(records, columns))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -96,7 +103,6 @@ def cmd_expand(args) -> int:
     s = etaq.expand(mon, args.order, args.mod)
     return _report(
         args,
-        "expand",
         {"monomial": repr(mon), "order": args.order, "mod": args.mod},
         {"valuation": s.valuation, "order": s.order, "coefficients": list(s.coeffs)},
     )
@@ -121,43 +127,24 @@ def cmd_coeffs(args) -> int:
     order = max(indices) + 1
     s = etaq.expand(mon, order, args.mod)
     values = [s.coefficient(i) for i in indices]
-    csv_text = to_csv(
-        [{"n": i, "coefficient": v} for i, v in zip(indices, values)], ("n", "coefficient")
-    )
     return _report(
         args,
-        "coeffs",
         {"monomial": repr(mon), "mod": args.mod, "order": order},
         {"indices": indices, "coefficients": values},
-        csv_text=csv_text,
+        csv=lambda: to_csv(
+            [{"n": i, "coefficient": v} for i, v in zip(indices, values)], ("n", "coefficient")
+        ),
     )
 
 
 def cmd_verify(args) -> int:
     m, j = _parse_progression(args.progression)
     claim = congruence.CongruenceClaim(
-        family=Family(args.family, args.k),
-        m=m,
-        j=j,
-        modulus=args.mod,
-        alpha=args.alpha,
-        status=args.status,
+        Family(args.family, args.k), m, j, args.mod, args.alpha, args.status
     )
-    parameters = {
-        **claim.to_dict(),
-        "n_limit": args.n_limit,
-        "order": congruence.required_order(claim, args.n_limit),
-    }
     result = congruence.verify_congruence(claim, args.n_limit)
-    record = result.to_record()
-    return _report(
-        args,
-        "verify",
-        parameters,
-        {"records": [record]},
-        result.passed,
-        to_csv([record], CONGRUENCE_COLUMNS),
-    )
+    parameters = {**claim.to_dict(), "n_limit": args.n_limit, "order": result.orders["expansion"]}
+    return _records(args, parameters, [result], CONGRUENCE_COLUMNS)
 
 
 def cmd_scan(args) -> int:
@@ -171,9 +158,9 @@ def cmd_scan(args) -> int:
         "n_min": args.n_min,
         "order": congruence.scan_order(args.max_m, args.n_min),
     }
-    records = sorted((c.to_dict() for c in claims), key=lambda d: (d["m"], d["j"]))
+    records = [c.to_dict() for c in claims]  # scan finds them in (m, j) order
     return _report(
-        args, "scan", parameters, {"records": records}, csv_text=to_csv(records, CONGRUENCE_COLUMNS)
+        args, parameters, {"records": records}, csv=lambda: to_csv(records, CONGRUENCE_COLUMNS)
     )
 
 
@@ -183,7 +170,6 @@ def cmd_dissect(args) -> int:
     part = dissect.extract_progression(base, args.m, args.j)
     return _report(
         args,
-        "dissect",
         {"monomial": repr(mon), "m": args.m, "j": args.j, "order": args.order, "mod": args.mod},
         {
             "valuation": part.valuation,
@@ -200,25 +186,13 @@ def cmd_identity(args) -> int:
         if not claims:
             raise ValueError(f"no identity named {args.name!r} in {args.catalog}")
     results = dissect.verify_catalog(claims, args.order)
-    return _report(
-        args,
-        "identity",
-        {"catalog": str(args.catalog), "order": args.order},
-        {"records": [r.to_record() for r in results]},
-        all(r.passed for r in results),
-    )
+    return _records(args, {"catalog": str(args.catalog), "order": args.order}, results)
 
 
 def cmd_certificate(args) -> int:
     cert = catalogs.load_certificate(args.cert)
     result = certify.verify_certificate(cert, args.order)
-    return _report(
-        args,
-        "certificate",
-        {"cert": str(args.cert), "order": args.order},
-        {"records": [result.to_record()]},
-        result.passed,
-    )
+    return _records(args, {"cert": str(args.cert), "order": args.order}, [result])
 
 
 def cmd_density(args) -> int:
@@ -226,10 +200,9 @@ def cmd_density(args) -> int:
     report = density.compute_density(Family(args.family, args.k), args.mod, args.residue, grid)
     return _report(
         args,
-        "density",
         {"family": args.family, "k": args.k, "mod": args.mod, "residue": args.residue},
         {"report": report.to_record()},
-        csv_text=report.to_csv(),
+        csv=report.to_csv,
     )
 
 
@@ -239,24 +212,20 @@ def cmd_oracle(args) -> int:
     rows = [{"n": n, "count": c} for n, c in enumerate(table)]
     return _report(
         args,
-        "oracle",
         {"family": args.family, "k": args.k, "max_n": args.max_n},
         {"records": rows},
-        csv_text=to_csv(rows, ("n", "count")),
+        csv=lambda: to_csv(rows, ("n", "count")),
     )
 
 
 def cmd_paper_suite(args) -> int:
     names = congruence.SUITES if args.theorem == "all" else (args.theorem,)
     parameters, results = congruence.run_suites(names, args.n_limit, args.alpha_limit, args.order)
-    rows = [r.to_record() for r in results]
-    return _report(
+    return _records(
         args,
-        "paper-suite",
         {"theorem": args.theorem, "suites": parameters},
-        {"records": rows},
-        all(r.passed for r in results),
-        to_csv(rows, CONGRUENCE_COLUMNS + ("passed",)),
+        results,
+        CONGRUENCE_COLUMNS + ("passed",),
     )
 
 
@@ -270,18 +239,17 @@ def _add_output_options(p, formats=("json", "csv")):
     p.add_argument("--job", help="JSON file of parameters; explicit flags override")
 
 
-def _add_family_options(p):
-    p.add_argument("--family", choices=sorted(catalogs.family_table()), required=True)
+def _add_family_options(p, factors=False):
+    """--family and --k; with factors, --family or --factors, then --qpower
+    and --coefficient, which make the monomial of _monomial_from_args."""
+    source = p.add_mutually_exclusive_group(required=True) if factors else p
+    source.add_argument("--family", choices=sorted(catalogs.family_table()), required=not factors)
+    if factors:
+        source.add_argument("--factors", help="explicit f-product, e.g. '4:3,1:-6,2:-3'")
     p.add_argument("--k", type=int, default=1, help="tuple length for parameterized families")
-
-
-def _add_monomial_options(p):
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--family", choices=sorted(catalogs.family_table()))
-    source.add_argument("--factors", help="explicit f-product, e.g. '4:3,1:-6,2:-3'")
-    p.add_argument("--k", type=int, default=1, help="tuple length for parameterized families")
-    p.add_argument("--qpower", type=int, default=0)
-    p.add_argument("--coefficient", type=int, default=1)
+    if factors:
+        p.add_argument("--qpower", type=int, default=0)
+        p.add_argument("--coefficient", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="coefficients of an f-product below an order")
-    _add_monomial_options(p)
+    _add_family_options(p, factors=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--mod", type=int, default=None)
     _add_output_options(p, ("json",))
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("coeffs", help="specific coefficients, exact unless --mod is given")
-    _add_monomial_options(p)
+    _add_family_options(p, factors=True)
     indices = p.add_mutually_exclusive_group(required=True)
     indices.add_argument("--indices", help="comma-separated exponents")
     indices.add_argument("--progression", help="m,j: report indices m*n+j for n <= n-limit")
@@ -328,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("dissect", help="extract the progression (m, j) of a series")
-    _add_monomial_options(p)
+    _add_family_options(p, factors=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--order", type=int, help="coefficients reported below this order", required=True)

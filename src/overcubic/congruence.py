@@ -14,6 +14,7 @@ import numpy as np
 
 from . import catalogs, certify, density, dissect, etaq
 from .catalogs import Family
+from .errors import InsufficientPrecision
 from .reporting import VerificationResult
 
 PROVED = "proved-in-paper"
@@ -57,10 +58,23 @@ class CongruenceClaim:
         }
 
 
+# A dilated order of more bits is refused before the shift that would build
+# it; a shorter one, below 2^14284 < 10^4300, still prints in the message of
+# residue_array's order ceiling, as Python prints up to 4300 digits.
+ORDER_BITS = 14284
+
+
 def required_order(claim: CongruenceClaim, n_limit: int) -> int:
+    """2^alpha (m n_limit + j) + 1, the order a claim's check expands to."""
     if n_limit < 0:
         raise ValueError("n_limit must be >= 0")
-    return ((claim.m * n_limit + claim.j) << claim.alpha) + 1
+    base = claim.m * n_limit + claim.j
+    if base.bit_length() + claim.alpha > ORDER_BITS:
+        raise InsufficientPrecision(
+            f"required order 2^{claim.alpha} (m n_limit + j) + 1, of more than {ORDER_BITS}"
+            f" bits, above the configured ceiling {etaq.MAX_ORDER}"
+        )
+    return (base << claim.alpha) + 1
 
 
 def verify_congruence(
@@ -118,6 +132,12 @@ def nonresidue_progressions(p: int, k: int) -> list[CongruenceClaim]:
 # discovery scans
 
 
+# Ceiling on a scan's (m, j, modulus) checks, checked before its first build.
+# The largest admitted one-modulus scan, `scan --family partition --max-m 2895
+# --moduli 2 --n-min 100` (4,191,960 checks), took 26 s on a 2-core machine.
+MAX_SCAN_CHECKS = 1 << 22
+
+
 def scan_order(max_m: int, n_min: int) -> int:
     """Order of a scan's expansions: 2 * n_min samples of every progression
     with m <= max_m, the doubled window of the stability check."""
@@ -139,14 +159,20 @@ def scan(
     family: Family, max_m: int, moduli: Iterable[int], n_min: int = 500
 ) -> list[CongruenceClaim]:
     """Report, for each progression (m <= max_m, j < m), the largest of
-    `moduli` dividing every sampled coefficient.  A claim is kept only when
-    the winning modulus at n_min samples is unchanged at twice as many,
-    which suppresses truncation-order artifacts."""
+    `moduli` dividing every sampled coefficient, in (m, j) order.  A claim
+    is kept only when the winning modulus at n_min samples is unchanged at
+    twice as many, which suppresses truncation-order artifacts.  A scan of
+    more than MAX_SCAN_CHECKS checks is refused before any build."""
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     if n_min < 100:
         raise ValueError("n_min must be >= 100 to avoid vacuous discoveries")
     moduli = scan_moduli(moduli)[::-1]  # largest first, the one a progression reports
+    checks = max_m * (max_m + 1) // 2 * len(moduli)
+    if checks > MAX_SCAN_CHECKS:
+        raise InsufficientPrecision(
+            f"scan of {checks} progression checks is above the scan-work ceiling {MAX_SCAN_CHECKS}"
+        )
     order = scan_order(max_m, n_min)
     mon = family.monomial
     arrays = {modulus: etaq.residue_array(mon, order, modulus) for modulus in moduli}
@@ -373,6 +399,12 @@ def run_suites(
         if value is not None and not any(bound in SUITES[name][0] for name in names):
             readers = ", ".join(name for name, (reads, _) in SUITES.items() if bound in reads)
             raise ValueError(f"no selected suite reads {bound}; suites {readers} do")
+    if alpha_limit is not None and alpha_limit >= etaq.MAX_ORDER.bit_length():
+        # every dilated suite row has j >= 1, so its order is above 2^alpha_limit
+        raise InsufficientPrecision(
+            f"alpha_limit {alpha_limit} puts 2^alpha_limit above the configured ceiling"
+            f" {etaq.MAX_ORDER}"
+        )
     parameters, checks = {}, []
     for name in names:
         parameters[name], suite_checks = SUITES[name][1](n_limit, alpha_limit, order)

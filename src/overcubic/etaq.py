@@ -442,8 +442,6 @@ def sellers_product(t: int, n: int) -> TruncatedSeries:
 def _clip(s: TruncatedSeries, n: int) -> TruncatedSeries:
     if s.order == n:
         return s
-    if s.order < n:
-        raise ValueError("cannot extend a truncated series")
     return TruncatedSeries.make(s.valuation, s.window(s.valuation, n), n)
 
 

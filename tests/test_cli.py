@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from overcubic import catalogs, etaq
+from overcubic import catalogs, cli, density, etaq
 from overcubic.cli import main
 
 
@@ -250,9 +250,15 @@ def test_verify_at_2_63_runs(capsys):
         # the mod-32 claim's left side goes to 8 * 500001 + 0, above MAX_ORDER
         ["identity", "--catalog", "identities/congruence_identities.json",
          "--name", "overcubic-triple-8n-part-mod32", "--order", "500001"],
+        # refused by bit length before the shift: the order would have more
+        # digits than Python prints
+        ["verify", "--family", "overcubic", "--progression", "8,7", "--mod", "64",
+         "--n-limit", "1", "--alpha", "30000"],
+        # 2^alpha_limit is above the ceiling, refused before any claim is made
+        ["paper-suite", "--theorem", "conjecture-1", "--alpha-limit", "30000"],
     ],
     ids=["density", "scan", "expand", "expand-exact", "coeffs-exact", "coeffs-zero-coefficient",
-         "identity-mod"],
+         "identity-mod", "verify-huge-alpha", "suite-huge-alpha-limit"],
 )
 def test_order_ceiling_exits_two_at_once(capsys, argv):
     t0 = time.perf_counter()
@@ -618,6 +624,29 @@ def test_format_csv_is_refused_before_any_expansion(monkeypatch, capsys, argv):
     assert "invalid choice: 'csv'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command,code",
+    [
+        ("coeffs --family overcubic-triple --progression 8,7 --n-limit 10", 0),
+        ("verify --family overcubic-triple --progression 8,7 --mod 64 --n-limit 100", 0),
+        ("verify --family overcubic-triple --progression 4,1 --mod 4 --n-limit 10", 1),
+        ("scan --family partition --max-m 5 --moduli 5,7 --n-min 150", 0),
+        ("density --family overcubic-triple --mod 384 --x-grid 100,1000", 0),
+        ("oracle --family overcubic --max-n 6", 0),
+        ("paper-suite --theorem 9 --order 300", 0),
+    ],
+    ids=["coeffs", "verify-pass", "verify-fail", "scan", "density", "oracle", "paper-suite"],
+)
+def test_a_json_report_builds_no_csv(monkeypatch, capsys, command, code):
+    def no_csv(*args):
+        raise AssertionError("CSV text built for a JSON report")
+
+    monkeypatch.setattr(cli, "to_csv", no_csv)
+    monkeypatch.setattr(density, "to_csv", no_csv)
+    assert main(command.split()) == code
+    assert json.loads(capsys.readouterr().out)["command"] == command.split()[0]
+
+
 # an identity catalog whose first entry, checked mod 4, is the larger build
 MOD4_THEN_UNSERVED = [
     {"name": "even-part-mod4", "lhs": {"family": {"name": "overcubic-triple"}},
@@ -637,9 +666,12 @@ MOD4_THEN_UNSERVED = [
          "UnsupportedModulus: modulus 65537"),
         (["certificate", "--cert", "{file}"], {**CERT, "m": 0}, "m must be >= 1"),
         (["certificate", "--cert", "{file}"], {**CERT, "orbit": [7, 8]}, "0 <= j < m"),
+        # order 3.8M is below MAX_ORDER, but the (m, j) loop would make 180M checks
+        (["scan", "--family", "partition", "--max-m", "19000", "--moduli", "2", "--n-min", "100"],
+         None, "above the scan-work ceiling"),
     ],
     ids=["scan-unserved-modulus", "catalog-unserved-modulus", "certificate-m-0",
-         "certificate-orbit-not-below-m"],
+         "certificate-orbit-not-below-m", "scan-work"],
 )
 def test_a_claim_is_refused_when_it_is_made_before_any_build(
     monkeypatch, tmp_path, capsys, argv, content, message
