@@ -162,7 +162,8 @@ def scan(
     `moduli` dividing every sampled coefficient, in (m, j) order.  A claim
     is kept only when the winning modulus at n_min samples is unchanged at
     twice as many, which suppresses truncation-order artifacts.  A scan of
-    more than MAX_SCAN_CHECKS checks is refused before any build."""
+    more than MAX_SCAN_CHECKS checks, or whose ring builds together are above
+    etaq.MAX_PASS_WORK, is refused before any build."""
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     if n_min < 100:
@@ -175,21 +176,21 @@ def scan(
         )
     order = scan_order(max_m, n_min)
     mon = family.monomial
-    arrays = {modulus: etaq.residue_array(mon, order, modulus) for modulus in moduli}
-
-    def winning_modulus(m: int, j: int, samples: int) -> int | None:
-        return next((M for M in moduli if not np.any(arrays[M][j::m][:samples])), None)
-
-    found = []
-    for m in range(1, max_m + 1):
-        for j in range(m):
-            first = winning_modulus(m, j, n_min)
-            if first is None:
-                continue
-            if winning_modulus(m, j, 2 * n_min) != first:
-                continue
-            found.append(CongruenceClaim(family, m=m, j=j, modulus=first, status="discovered"))
-    return found
+    # the word ring serves every even modulus, and each odd part above 1 is a ring of its own
+    parts = [etaq.residue_modulus(M) for M in moduli]
+    rings = any(two > 1 for two, _ in parts) + len({odd for _, odd in parts} - {1})
+    etaq.check_pass_work(mon.factors, order, rings)
+    # (m, j) -> the largest modulus dividing its n_min samples, None unless it divides twice as many
+    first = {}
+    for M in moduli:
+        arr = etaq.residue_array(mon, order, M)
+        for m in range(1, max_m + 1):
+            for j in range(m):
+                if (m, j) not in first and not np.any(arr[j::m][:n_min]):
+                    first[m, j] = None if np.any(arr[j::m][: 2 * n_min]) else M
+        del arr  # one residue array alive at a time
+    found = sorted((m, j, M) for (m, j), M in first.items() if M)  # in (m, j) order
+    return [CongruenceClaim(family, m=m, j=j, modulus=M, status="discovered") for m, j, M in found]
 
 
 # ---------------------------------------------------------------------------

@@ -173,20 +173,30 @@ def largest_first(checks) -> list:
     return values
 
 
-def _unchanged(x):
-    # the reduction of Z, and of Z/2^64, whose uint64 words wrap by themselves
-    return x
+def check_pass_work(factors: tuple[tuple[int, int], ...], n: int, builds: int = 1) -> None:
+    """Refuse `builds` builds of prod f_delta^r below n above MAX_PASS_WORK: f_delta^|r|
+    takes |r| // 3 cube passes and |r| % 3 pentagonal ones, each charged n + PASS_CHARGE."""
+    passes = builds * sum(sum(divmod(abs(r), 3)) for _, r in factors)
+    if passes * (n + PASS_CHARGE) > MAX_PASS_WORK:
+        raise InsufficientPrecision(
+            f"expansion of {passes} passes to order {n} is above the"
+            f" pass-work ceiling {MAX_PASS_WORK}"
+        )
 
 
-def _mul_pass(acc: np.ndarray, exps: np.ndarray, coefs: np.ndarray, reduce) -> np.ndarray:
+# A pass reduces in place by its modulus, np.uint64(M) for Z/M with M odd;
+# it is None for Z and for Z/2^64, whose uint64 words wrap by themselves.
+def _mul_pass(acc: np.ndarray, exps: np.ndarray, coefs: np.ndarray, modulus) -> np.ndarray:
     n = len(acc)
     out = np.zeros_like(acc)
     for e, c in zip(exps.tolist(), coefs):
         out[e:] += c * acc[: n - e]
-    return reduce(out)
+    if modulus is not None:
+        out %= modulus
+    return out
 
 
-def _div_pass(num: np.ndarray, exps: np.ndarray, coefs: np.ndarray, reduce) -> np.ndarray:
+def _div_pass(num: np.ndarray, exps: np.ndarray, coefs: np.ndarray, modulus) -> np.ndarray:
     # forward substitution for g with g * f = num, where f = 1 - sum of
     # coefs * q^exps over exps > 0 (the factor's tail, negated)
     g = num.copy()
@@ -195,7 +205,9 @@ def _div_pass(num: np.ndarray, exps: np.ndarray, coefs: np.ndarray, reduce) -> n
         for i in range(1, len(g)):
             k = counts[i - 1]
             if k:
-                g[i] = reduce(g[i] + g[i - exps[:k]] @ coefs[:k])
+                g[i] += g[i - exps[:k]] @ coefs[:k]
+                if modulus is not None:
+                    g[i] %= modulus
     return g
 
 
@@ -207,7 +219,9 @@ def _expand_factors(factors: tuple[tuple[int, int], ...], n: int, ring: int | No
     passes and |r| % 3 pentagonal ones, multiplying for r > 0 and dividing
     for r < 0; builds above MAX_PASS_WORK are refused before any pass.
 
-    Every ring is commutative, so a build runs its multiply passes first.
+    Every ring is commutative, so a build multiplies first, by ascending
+    delta, then divides by descending delta: in Z that cuts the bits the
+    triple's divide passes read by over a third; uint64 passes cost the same.
     A Z build starts on int64 words.  A multiply pass adds products c * a
     of its coefficients c and the accumulator's a, so max|a| * sum|c|
     bounds every product and partial sum it forms; while that bound is
@@ -216,26 +230,13 @@ def _expand_factors(factors: tuple[tuple[int, int], ...], n: int, ring: int | No
     of Python integers for the rest of the build."""
 
     def build(limit):
-        passes = sum(sum(divmod(abs(r), 3)) for _, r in factors)
-        if passes * (limit + PASS_CHARGE) > MAX_PASS_WORK:
-            raise InsufficientPrecision(
-                f"expansion of {passes} passes to order {limit} is above the"
-                f" pass-work ceiling {MAX_PASS_WORK}"
-            )
-        if ring is None or ring == WORD:
-            reduce = _unchanged
-        else:
-            # a pass sums at most `limit` products below (ring-1)^2 before it reduces
-            assert limit * (ring - 1) ** 2 < WORD, "uint64 pass sums would wrap"
-            modulus = np.uint64(ring)
-
-            def reduce(x):
-                x %= modulus  # in place for a pass's output, by value for a scalar
-                return x
-
+        check_pass_work(factors, limit)
+        modulus = None if ring is None or ring == WORD else np.uint64(ring)
+        # a pass sums at most `limit` products below (ring-1)^2 before it reduces
+        assert modulus is None or limit * (ring - 1) ** 2 < WORD, "uint64 pass sums would wrap"
         acc = np.zeros(limit, np.int64 if ring is None else np.uint64)
         acc[0] = 1
-        for delta, r in sorted(factors, key=lambda f: f[1] < 0):  # multiply passes first
+        for delta, r in sorted(factors, key=lambda f: (f[1] < 0, -f[0] if f[1] < 0 else f[0])):
             cubes, rest = divmod(abs(r), 3)
             for count, make in ((cubes, cube_terms), (rest, pentagonal_terms)):
                 if not count:
@@ -258,7 +259,7 @@ def _expand_factors(factors: tuple[tuple[int, int], ...], n: int, ring: int | No
                     ):
                         acc = acc.astype(object)
                         coefs = coefs.astype(object)
-                    acc = step(acc, exps, coefs, reduce)
+                    acc = step(acc, exps, coefs, modulus)
         return acc.astype(object) if acc.dtype == np.int64 else acc
 
     return _cached((factors, ring), n, build)[:n]
@@ -422,8 +423,8 @@ def sellers_product(t: int, n: int) -> TruncatedSeries:
     """(phi(q) * prod_{i>=1} phi(q^(2^i))^(3*2^(i-1)))^t below exponent n.
 
     Factors with 2^i > n contribute only 1 below q^n and are dropped.  Each
-    factor is powered before dilation, which keeps the intermediate series
-    short."""
+    factor is powered before dilation, which keeps it short, and mul trims
+    it to the product's order n."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if n < 1:
@@ -433,16 +434,9 @@ def sellers_product(t: int, n: int) -> TruncatedSeries:
     while (1 << i) <= n:
         step = 1 << i
         inner = phi((n + step - 1) // step)
-        factor = _clip(dilate(power(inner, 3 << (i - 1)), step), n)
-        acc = mul(acc, factor)
+        acc = mul(acc, dilate(power(inner, 3 << (i - 1)), step))
         i += 1
-    return _clip(power(acc, t), n)
-
-
-def _clip(s: TruncatedSeries, n: int) -> TruncatedSeries:
-    if s.order == n:
-        return s
-    return TruncatedSeries.make(s.valuation, s.window(s.valuation, n), n)
+    return power(acc, t)
 
 
 # ---------------------------------------------------------------------------

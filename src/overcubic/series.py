@@ -109,7 +109,7 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def scale(a: TruncatedSeries, c: int) -> TruncatedSeries:
-    if c == 0 or not a.coeffs:
+    if c == 0:
         return zero(a.order)
     return TruncatedSeries(a.valuation, tuple(c * x for x in a.coeffs), a.order)
 
@@ -123,7 +123,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     so products against pentagonal-type series cost O(N * #nonzero)."""
     val = a.valuation + b.valuation
     order = min(a.order + b.valuation, b.order + a.valuation)
-    if order <= val or not a.coeffs or not b.coeffs:
+    if order <= val:  # an empty series has valuation == order
         return zero(order)
     if sum(1 for c in b.coeffs if c) < sum(1 for c in a.coeffs if c):
         a, b = b, a
@@ -183,8 +183,6 @@ def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
 
 def shift(a: TruncatedSeries, e: int) -> TruncatedSeries:
     """Multiply by q^e: valuation and order both move by e."""
-    if not a.coeffs:
-        return zero(a.order + e)
     return TruncatedSeries(a.valuation + e, a.coeffs, a.order + e)
 
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ts
-from overcubic import catalogs, certify, oracle
+from overcubic import catalogs, certify, etaq, oracle
 from overcubic.catalogs import certificate_from_dict, load_certificate
 from overcubic.certify import RaduCertificate, verify_certificate
 from overcubic.errors import InsufficientPrecision
-from overcubic.series import add, constant, mul
+from overcubic.series import TruncatedSeries, add, constant, mul
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,27 @@ def test_polynomial_has_zero_constant_term(cert):
     # so both sides start strictly below q^0, at the Hauptmodul's top power
     assert cert.polynomial[0] == 0
     assert cert.polynomial_degree() == 15
+
+
+def test_trailing_zero_coefficient_leaves_the_record_unchanged(cert):
+    padded = dataclasses.replace(cert, name="padded", polynomial=cert.polynomial + (0,))
+    assert padded.polynomial_degree() == 15
+    expected = dataclasses.replace(verify_certificate(cert, 120), name="padded")
+    assert verify_certificate(padded, 120) == expected
+
+
+def test_a_hauptmodul_expansion_one_coefficient_short_is_refused(cert, monkeypatch):
+    expand = etaq.expand
+
+    def short(terms, n, modulus=None):
+        s = expand(terms, n, modulus)
+        if terms == cert.hauptmodul:
+            return TruncatedSeries(s.valuation, s.coeffs[:-1], s.order - 1)
+        return s
+
+    monkeypatch.setattr(etaq, "expand", short)
+    with pytest.raises(InsufficientPrecision, match="planned orders insufficient"):
+        verify_certificate(cert, 120)
 
 
 def test_perturbed_polynomial_coefficient_fails(cert):

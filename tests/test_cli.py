@@ -669,9 +669,13 @@ MOD4_THEN_UNSERVED = [
         # order 3.8M is below MAX_ORDER, but the (m, j) loop would make 180M checks
         (["scan", "--family", "partition", "--max-m", "19000", "--moduli", "2", "--n-min", "100"],
          None, "above the scan-work ceiling"),
+        # one build of the triple's 4 passes is admitted near MAX_ORDER, ten
+        # rings of them (one per odd modulus) are not
+        (["scan", "--family", "overcubic-triple", "--max-m", "2", "--moduli",
+          "3,5,7,9,11,13,15,17,19,21", "--n-min", "999999"], None, "above the pass-work ceiling"),
     ],
     ids=["scan-unserved-modulus", "catalog-unserved-modulus", "certificate-m-0",
-         "certificate-orbit-not-below-m", "scan-work"],
+         "certificate-orbit-not-below-m", "scan-work", "scan-ring-builds"],
 )
 def test_a_claim_is_refused_when_it_is_made_before_any_build(
     monkeypatch, tmp_path, capsys, argv, content, message

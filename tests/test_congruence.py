@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,22 @@ def test_scan_keeps_only_a_stable_winning_modulus(monkeypatch, tail, found):
     monkeypatch.setattr(etaq, "residue_array", residue_array)
     claims = cg.scan(Family("partition"), 1, (2, 4), n_min)
     assert [(c.m, c.j, c.modulus) for c in claims] == found
+
+
+def test_scan_holds_one_residue_array_at_a_time(monkeypatch):
+    # 63 power-of-two moduli share the word build, and each residue array is
+    # a masked copy of it: held together they take 63 arrays, while the build
+    # and the sweep of one take about four
+    monkeypatch.setattr(etaq, "_memo", {})
+    n_min = 2000
+    moduli = [1 << k for k in range(1, 64)]
+    tracemalloc.start()
+    try:
+        cg.scan(Family("partition"), 2, moduli, n_min)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * np.dtype(np.uint64).itemsize * cg.scan_order(2, n_min)
 
 
 def test_scan_config_validation(monkeypatch):

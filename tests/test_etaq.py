@@ -225,7 +225,7 @@ def _mul_pass_kinds(monkeypatch) -> list[str]:
     "factors,n,crosses",
     [
         # the certificate's prefactor at order 1000: f1^69 and f4^30 start on
-        # int64 and cross 2^63 partway, then f2^-29 and f8^-64 divide
+        # int64 and cross 2^63 partway, then f8^-64 and f2^-29 divide
         (PREFACTOR.factors, 1016, True),
         (((1, 60), (2, 30)), 300, True),
         # multiply passes that stay below 2^63, then divide passes
