@@ -163,7 +163,8 @@ def scan(
     is kept only when the winning modulus at n_min samples is unchanged at
     twice as many, which suppresses truncation-order artifacts.  A scan of
     more than MAX_SCAN_CHECKS checks, or whose ring builds together are above
-    etaq.MAX_PASS_WORK, is refused before any build."""
+    etaq.MAX_PASS_WORK, is refused before any build.  Each ring's build
+    leaves the memo once the last modulus that reads it is checked."""
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     if n_min < 100:
@@ -176,10 +177,16 @@ def scan(
         )
     order = scan_order(max_m, n_min)
     mon = family.monomial
-    # the word ring serves every even modulus, and each odd part above 1 is a ring of its own
-    parts = [etaq.residue_modulus(M) for M in moduli]
-    rings = any(two > 1 for two, _ in parts) + len({odd for _, odd in parts} - {1})
-    etaq.check_pass_work(mon.factors, order, rings)
+    # ring -> the last modulus that reads it: the word ring serves every even
+    # modulus, and each odd part above 1 is a ring of its own
+    last = {}
+    for M in moduli:
+        two, odd = etaq.residue_modulus(M)
+        if two > 1:
+            last[etaq.WORD] = M
+        if odd > 1:
+            last[odd] = M
+    etaq.check_pass_work(mon.factors, order, len(last))
     # (m, j) -> the largest modulus dividing its n_min samples, None unless it divides twice as many
     first = {}
     for M in moduli:
@@ -189,6 +196,9 @@ def scan(
                 if (m, j) not in first and not np.any(arr[j::m][:n_min]):
                     first[m, j] = None if np.any(arr[j::m][: 2 * n_min]) else M
         del arr  # one residue array alive at a time
+        for ring, final in last.items():
+            if final == M:
+                etaq.forget(mon.factors, ring)
     found = sorted((m, j, M) for (m, j), M in first.items() if M)  # in (m, j) order
     return [CongruenceClaim(family, m=m, j=j, modulus=M, status="discovered") for m, j, M in found]
 

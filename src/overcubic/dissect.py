@@ -39,21 +39,6 @@ def extract_progression(s: TruncatedSeries, m: int, j: int) -> TruncatedSeries:
     return TruncatedSeries.make(0, coeffs, len(coeffs))
 
 
-def interleave(parts: list[TruncatedSeries]) -> TruncatedSeries:
-    """Reassemble sum_j q^j * parts[j](q^m); inverse of a full m-dissection."""
-    m = len(parts)
-    if m < 1:
-        raise ValueError("need at least one part")
-    for p in parts:
-        if p.valuation < 0:
-            raise NegativeValuation("interleaving expects valuation >= 0 parts")
-    order = min(m * p.order + j for j, p in enumerate(parts))
-    coeffs = [0] * order
-    for j, p in enumerate(parts):
-        coeffs[j::m] = p.window(0, len(range(j, order, m)))
-    return TruncatedSeries.make(0, coeffs, order)
-
-
 @dataclass(frozen=True)
 class IdentityClaim:
     """lhs, optionally dissected, equals rhs, exactly or mod `modulus`; both

@@ -5,10 +5,6 @@ class QSeriesError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonUnitLeadingCoefficient(QSeriesError):
-    """Inversion requires the lowest-order coefficient to be +1 or -1."""
-
-
 class InsufficientPrecision(QSeriesError):
     """An operation asked for coefficients beyond the trusted truncation order."""
 

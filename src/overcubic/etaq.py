@@ -1,5 +1,5 @@
-"""Euler products f_k, symbolic f-quotients, theta series, and the
-eta-quotient lacunarity criterion.
+"""Euler products f_k, symbolic f-quotients, and the eta-quotient
+lacunarity criterion.
 
 The expansion engine works factor by factor: multiplying or dividing by a
 single f_delta uses its pentagonal-number expansion (all coefficients in
@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InsufficientPrecision, NonIntegerWeight, UnsupportedModulus
-from .series import TruncatedSeries, dilate, mul, power, reduce_mod, zero
+from .series import TruncatedSeries, reduce_mod, zero
 
 # hard ceiling on residue expansion orders so a mistyped size fails fast
 MAX_ORDER = 4_000_000
@@ -159,6 +159,12 @@ def _cached(key, n: int, build):
     if hit is None or hit[0] < n:
         hit = _memo[key] = (n, build(n))
     return hit[1]
+
+
+def forget(factors: tuple[tuple[int, int], ...], ring: int) -> None:
+    """Drop the memo's build of prod f_delta^r over `ring` (WORD, or an odd
+    modulus), for a caller that reads that ring no more."""
+    _memo.pop((factors, ring), None)
 
 
 def largest_first(checks) -> list:
@@ -388,55 +394,6 @@ def expand(
     if modulus is None or total is first:
         return total
     return reduce_mod(total, modulus)
-
-
-# ---------------------------------------------------------------------------
-# theta series
-
-
-def phi(n: int) -> TruncatedSeries:
-    """1 + 2*sum q^(k^2), truncated below exponent n."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    coeffs = [0] * n
-    coeffs[0] = 1
-    k = 1
-    while k * k < n:
-        coeffs[k * k] = 2
-        k += 1
-    return TruncatedSeries.make(0, coeffs, n)
-
-
-def psi(n: int) -> TruncatedSeries:
-    """sum q^(k(k+1)/2), truncated below exponent n."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    coeffs = [0] * n
-    k = 0
-    while k * (k + 1) // 2 < n:
-        coeffs[k * (k + 1) // 2] = 1
-        k += 1
-    return TruncatedSeries.make(0, coeffs, n)
-
-
-def sellers_product(t: int, n: int) -> TruncatedSeries:
-    """(phi(q) * prod_{i>=1} phi(q^(2^i))^(3*2^(i-1)))^t below exponent n.
-
-    Factors with 2^i > n contribute only 1 below q^n and are dropped.  Each
-    factor is powered before dilation, which keeps it short, and mul trims
-    it to the product's order n."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    acc = phi(n)
-    i = 1
-    while (1 << i) <= n:
-        step = 1 << i
-        inner = phi((n + step - 1) // step)
-        acc = mul(acc, dilate(power(inner, 3 << (i - 1)), step))
-        i += 1
-    return power(acc, t)
 
 
 # ---------------------------------------------------------------------------

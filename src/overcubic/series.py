@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InsufficientPrecision, NonUnitLeadingCoefficient
+from .errors import InsufficientPrecision
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,6 @@ def zero(order: int) -> TruncatedSeries:
     return TruncatedSeries(order, (), order)
 
 
-def one(order: int) -> TruncatedSeries:
-    return constant(1, order)
-
-
 def constant(c: int, order: int) -> TruncatedSeries:
     if order <= 0 or c == 0:
         return zero(order)
@@ -112,10 +108,6 @@ def scale(a: TruncatedSeries, c: int) -> TruncatedSeries:
     if c == 0:
         return zero(a.order)
     return TruncatedSeries(a.valuation, tuple(c * x for x in a.coeffs), a.order)
-
-
-def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return add(a, scale(b, -1))
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -143,59 +135,6 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries.make(val, out, order)
 
 
-def inv(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse.  Requires a unit (+-1) leading coefficient so
-    the inverse stays integral."""
-    if not a.coeffs or abs(a.coeffs[0]) != 1:
-        lead = a.coeffs[0] if a.coeffs else 0
-        raise NonUnitLeadingCoefficient(f"leading coefficient {lead} is not +-1")
-    u = a.coeffs[0]
-    A = a.coeffs
-    L = len(A)
-    B = [0] * L
-    B[0] = u  # 1/u == u for u = +-1
-    for n in range(1, L):
-        s = 0
-        for k in range(1, n + 1):
-            ak = A[k]
-            if ak:
-                s += ak * B[n - k]
-        B[n] = -u * s
-    return TruncatedSeries.make(-a.valuation, B, a.order - 2 * a.valuation)
-
-
-def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
-    """a**e by repeated squaring; negative exponents go through inv()."""
-    if e == 0:
-        return one(a.order - a.valuation)
-    if e < 0:
-        return power(inv(a), -e)
-    result = None
-    base = a
-    while e:
-        if e & 1:
-            result = base if result is None else mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return result
-
-
-def shift(a: TruncatedSeries, e: int) -> TruncatedSeries:
-    """Multiply by q^e: valuation and order both move by e."""
-    return TruncatedSeries(a.valuation + e, a.coeffs, a.order + e)
-
-
-def dilate(a: TruncatedSeries, m: int) -> TruncatedSeries:
-    """Substitute q -> q^m (m >= 1).  Exponents between multiples of m are
-    known zero, so the result is trusted below m * a.order."""
-    if m < 1:
-        raise ValueError("dilation factor must be >= 1")
-    out = [0] * (m * len(a.coeffs))
-    out[::m] = a.coeffs
-    return TruncatedSeries.make(m * a.valuation, out, m * a.order)
-
-
 def first_difference(a, b, limit: int) -> int | None:
     """Exponent of the first coefficient where a and b differ below `limit`,
     or None if they agree."""
@@ -204,16 +143,6 @@ def first_difference(a, b, limit: int) -> int | None:
         if x != y:
             return lo + e
     return None
-
-
-def equal_to_order(a, b, n: int) -> bool:
-    """True iff the coefficients agree for every exponent below n.  Both
-    series must be trusted at least that far."""
-    if a.order < n or b.order < n:
-        raise InsufficientPrecision(
-            f"comparison below {n} needs orders >= {n}, have {a.order} and {b.order}"
-        )
-    return first_difference(a, b, n) is None
 
 
 def reduce_mod(a: TruncatedSeries, modulus: int) -> TruncatedSeries:

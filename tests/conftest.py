@@ -1,9 +1,14 @@
-"""Shared test oracles, the f_delta helper and the acceptance-summary hook.
+"""Shared test oracles, reference routes, the f_delta helper and the
+acceptance-summary hook.
 
 The oracles here are deliberately naive: term-by-term products, recursive
 counts, brute-force residue sets.  They share no code with the library
-paths they check.  f_series is not an oracle: it is the engine's own
-expansion of a single f_delta.
+paths they check.  The reference routes (series inverse, powers, q-shift
+and dilation, interleaving, the theta series phi and psi, and the Sellers
+product) use only TruncatedSeries and its schoolbook operators (add,
+scale and series.mul), never the engine's passes, so the tests compare
+the engine against them.  f_series is not an oracle: it is the engine's own expansion of a
+single f_delta.
 """
 from __future__ import annotations
 
@@ -11,8 +16,9 @@ from collections import defaultdict
 
 import pytest
 
+from overcubic.errors import NegativeValuation, QSeriesError
 from overcubic.etaq import FMonomial, expand
-from overcubic.series import TruncatedSeries
+from overcubic.series import TruncatedSeries, add, constant, mul, scale
 
 
 def naive_euler_product(delta: int, n: int) -> list[int]:
@@ -68,6 +74,135 @@ def ts(coeffs, valuation: int = 0, order: int | None = None) -> TruncatedSeries:
         order = valuation + len(cs)
     cs += [0] * (order - valuation - len(cs))
     return TruncatedSeries.make(valuation, cs, order)
+
+
+# ---------------------------------------------------------------------------
+# reference routes on the schoolbook product
+
+
+class NonUnitLeadingCoefficient(QSeriesError):
+    """Inversion requires the lowest-order coefficient to be +1 or -1."""
+
+
+def one(order: int) -> TruncatedSeries:
+    return constant(1, order)
+
+
+def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    return add(a, scale(b, -1))
+
+
+def inv(a: TruncatedSeries) -> TruncatedSeries:
+    """Multiplicative inverse.  Requires a unit (+-1) leading coefficient so
+    the inverse stays integral."""
+    if not a.coeffs or abs(a.coeffs[0]) != 1:
+        lead = a.coeffs[0] if a.coeffs else 0
+        raise NonUnitLeadingCoefficient(f"leading coefficient {lead} is not +-1")
+    u = a.coeffs[0]
+    A = a.coeffs
+    L = len(A)
+    B = [0] * L
+    B[0] = u  # 1/u == u for u = +-1
+    for n in range(1, L):
+        s = 0
+        for k in range(1, n + 1):
+            ak = A[k]
+            if ak:
+                s += ak * B[n - k]
+        B[n] = -u * s
+    return TruncatedSeries.make(-a.valuation, B, a.order - 2 * a.valuation)
+
+
+def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
+    """a**e by repeated squaring; negative exponents go through inv()."""
+    if e == 0:
+        return one(a.order - a.valuation)
+    if e < 0:
+        return power(inv(a), -e)
+    result = None
+    base = a
+    while e:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
+
+
+def shift(a: TruncatedSeries, e: int) -> TruncatedSeries:
+    """Multiply by q^e: valuation and order both move by e."""
+    return TruncatedSeries(a.valuation + e, a.coeffs, a.order + e)
+
+
+def dilate(a: TruncatedSeries, m: int) -> TruncatedSeries:
+    """Substitute q -> q^m (m >= 1).  Exponents between multiples of m are
+    known zero, so the result is trusted below m * a.order."""
+    if m < 1:
+        raise ValueError("dilation factor must be >= 1")
+    out = [0] * (m * len(a.coeffs))
+    out[::m] = a.coeffs
+    return TruncatedSeries.make(m * a.valuation, out, m * a.order)
+
+
+def interleave(parts: list[TruncatedSeries]) -> TruncatedSeries:
+    """Reassemble sum_j q^j * parts[j](q^m); inverse of a full m-dissection."""
+    m = len(parts)
+    if m < 1:
+        raise ValueError("need at least one part")
+    for p in parts:
+        if p.valuation < 0:
+            raise NegativeValuation("interleaving expects valuation >= 0 parts")
+    order = min(m * p.order + j for j, p in enumerate(parts))
+    coeffs = [0] * order
+    for j, p in enumerate(parts):
+        coeffs[j::m] = p.window(0, len(range(j, order, m)))
+    return TruncatedSeries.make(0, coeffs, order)
+
+
+def phi(n: int) -> TruncatedSeries:
+    """1 + 2*sum q^(k^2), truncated below exponent n."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    coeffs = [0] * n
+    coeffs[0] = 1
+    k = 1
+    while k * k < n:
+        coeffs[k * k] = 2
+        k += 1
+    return TruncatedSeries.make(0, coeffs, n)
+
+
+def psi(n: int) -> TruncatedSeries:
+    """sum q^(k(k+1)/2), truncated below exponent n."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    coeffs = [0] * n
+    k = 0
+    while k * (k + 1) // 2 < n:
+        coeffs[k * (k + 1) // 2] = 1
+        k += 1
+    return TruncatedSeries.make(0, coeffs, n)
+
+
+def sellers_product(t: int, n: int) -> TruncatedSeries:
+    """(phi(q) * prod_{i>=1} phi(q^(2^i))^(3*2^(i-1)))^t below exponent n.
+
+    Factors with 2^i > n contribute only 1 below q^n and are dropped.  Each
+    factor is powered before dilation, which keeps it short, and mul trims
+    it to the product's order n."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    acc = phi(n)
+    i = 1
+    while (1 << i) <= n:
+        step = 1 << i
+        inner = phi((n + step - 1) // step)
+        acc = mul(acc, dilate(power(inner, 3 << (i - 1)), step))
+        i += 1
+    return power(acc, t)
 
 
 # ---------------------------------------------------------------------------

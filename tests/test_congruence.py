@@ -193,6 +193,21 @@ def test_scan_holds_one_residue_array_at_a_time(monkeypatch):
     assert peak <= 8 * np.dtype(np.uint64).itemsize * cg.scan_order(2, n_min)
 
 
+def test_scan_frees_each_ring_build_after_its_last_modulus(monkeypatch):
+    # eight odd primes are eight rings: kept in the memo they take eight
+    # arrays, while one build, its residue copy and a pass take about four
+    monkeypatch.setattr(etaq, "_memo", {})
+    n_min = 2000
+    tracemalloc.start()
+    try:
+        cg.scan(Family("partition"), 2, (3, 5, 7, 11, 13, 17, 19, 23), n_min)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * np.dtype(np.uint64).itemsize * cg.scan_order(2, n_min)
+    assert not etaq._memo
+
+
 def test_scan_config_validation(monkeypatch):
     def no_build(*args):
         raise AssertionError("a residue array was built")

@@ -9,7 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import f_series, naive_convolution, naive_euler_product, ts
+from conftest import (
+    dilate,
+    f_series,
+    naive_convolution,
+    naive_euler_product,
+    one,
+    phi,
+    power,
+    psi,
+    sellers_product,
+    shift,
+    ts,
+)
 from overcubic import etaq, oracle
 from overcubic.catalogs import Family
 from overcubic.errors import NonIntegerWeight, UnsupportedModulus
@@ -18,22 +30,9 @@ from overcubic.etaq import (
     FMonomial,
     cotron_check,
     expand,
-    phi,
-    psi,
     residue_array,
-    sellers_product,
 )
-from overcubic.series import (
-    add,
-    dilate,
-    equal_to_order,
-    mul,
-    one,
-    power,
-    reduce_mod,
-    scale,
-    shift,
-)
+from overcubic.series import add, first_difference, mul, reduce_mod, scale
 
 TRIPLE = FMonomial.make(factors={4: 3, 1: -6, 2: -3})
 SINGLE = FMonomial.make(factors={4: 1, 1: -2, 2: -1})
@@ -53,7 +52,7 @@ def test_expand_f_matches_naive_product(delta):
 def test_expand_f_small_windows():
     assert f_series(1, 8).window(0, 8) == [1, -1, -1, 0, 0, 1, 0, 1]
     assert f_series(2, 5).window(0, 5) == [1, 0, -1, 0, -1]
-    assert equal_to_order(f_series(1, 1), f_series(2, 1), 1)  # both are 1 below q^1
+    assert first_difference(f_series(1, 1), f_series(2, 1), 1) is None  # both are 1 below q^1
 
 
 # -- monomials and sums --------------------------------------------------------
@@ -86,7 +85,7 @@ def test_expand_sum_four_term_identity():
         FMonomial.make(12, 2, {4: 7, 8: 3, 16: 2, 2: -18}),
         FMonomial.make(8, 3, {4: 9, 16: 6, 2: -18, 8: -3}),
     )
-    assert equal_to_order(expand(rhs, 50), expand(TRIPLE, 50), 50)
+    assert first_difference(expand(rhs, 50), expand(TRIPLE, 50), 50) is None
     assert expand((), 10).is_zero()
     assert expand(rhs[:1], 50) == expand(rhs[0], 50)
 
@@ -118,7 +117,7 @@ def test_ktuple_power_law():
     single = expand(SINGLE, n)
     for k in (2, 3, 4):
         direct = expand(Family("overcubic-ktuple", k).monomial, n)
-        assert equal_to_order(direct, power(single, k), n)
+        assert first_difference(direct, power(single, k), n) is None
 
 
 monomials = st.builds(
@@ -359,26 +358,26 @@ def test_phi_psi_definitions():
 def test_phi_as_euler_quotient():
     lhs = phi(500)
     rhs = expand(FMonomial.make(factors={2: 5, 1: -2, 4: -2}), 500)
-    assert equal_to_order(lhs, rhs, 500)
+    assert first_difference(lhs, rhs, 500) is None
 
 
 def test_psi_as_euler_quotient():
     lhs = psi(500)
     rhs = expand(FMonomial.make(factors={2: 2, 1: -1}), 500)
-    assert equal_to_order(lhs, rhs, 500)
+    assert first_difference(lhs, rhs, 500) is None
 
 
 def test_phi_dissection_direct():
     n = 2000
     lhs = phi(n)
     rhs = add(dilate(phi(n // 4 + 1), 4), shift(scale(dilate(psi(n // 8 + 1), 8), 2), 1))
-    assert equal_to_order(lhs, rhs, n)
+    assert first_difference(lhs, rhs, n) is None
 
 
 def test_sellers_product_matches_families():
     n = 200
-    assert equal_to_order(sellers_product(1, n), expand(SINGLE, n), n)
-    assert equal_to_order(sellers_product(3, n), expand(TRIPLE, n), n)
+    assert first_difference(sellers_product(1, n), expand(SINGLE, n), n) is None
+    assert first_difference(sellers_product(3, n), expand(TRIPLE, n), n) is None
     assert sellers_product(1, 1).window(0, 1) == [1]
 
 
@@ -422,7 +421,7 @@ def test_prime_power_binomial_congruence(p, l, k):
     n = 500
     lhs = power(f_series(k, n), p**l)
     rhs = power(f_series(p * k, n), p ** (l - 1))
-    assert equal_to_order(reduce_mod(lhs, p**l), reduce_mod(rhs, p**l), n)
+    assert first_difference(reduce_mod(lhs, p**l), reduce_mod(rhs, p**l), n) is None
 
 
 # -- layering ----------------------------------------------------------------------
@@ -442,3 +441,41 @@ def test_imports_sit_at_module_level_and_the_engine_reads_no_catalog():
     assert not any("overcubic" in ast.unparse(n) for n in nodes)
     package = {n.module or a.name for n in nodes if getattr(n, "level", 0) for a in n.names}
     assert package == {"errors", "series"}
+
+
+def test_every_module_level_function_and_class_is_reached_from_the_command_line():
+    # walk the names and module.name attributes that cli.main refers to, and
+    # what those refer to in turn, across the package's modules
+    trees = {p.stem: ast.parse(p.read_text()) for p in Path(etaq.__file__).parent.glob("*.py")}
+    defs, modules = {}, {}  # (module, name) -> a node, or the (module, name) it imports
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for a in node.names:
+                    if node.module is None and a.name in trees:
+                        modules[mod, a.asname or a.name] = a.name
+                    else:
+                        defs[mod, a.asname or a.name] = (node.module or "__init__", a.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    defs[mod, getattr(target, "id", None)] = node
+    reached, todo = set(), [("cli", "main")]
+    while todo:
+        key = todo.pop()
+        if key in reached or key not in defs:
+            continue
+        reached.add(key)
+        if isinstance(defs[key], tuple):
+            todo.append(defs[key])
+            continue
+        for n in ast.walk(defs[key]):
+            if isinstance(n, ast.Name):
+                todo.append((key[0], n.id))
+            elif isinstance(n, ast.Attribute) and (key[0], getattr(n.value, "id", None)) in modules:
+                todo.append((modules[key[0], n.value.id], n.attr))
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    unreached = sorted(".".join(k) for k, d in defs.items() if isinstance(d, kinds) and k not in reached)
+    assert not unreached, f"no command reaches {unreached}"

@@ -1,8 +1,10 @@
-"""Library refusals that no CLI path reaches: each guard raises its own
-exception with a message naming what was refused."""
+"""Refusals that no CLI path reaches, of the library and of the reference
+routes in conftest.py: each guard raises its own exception with a message
+naming what was refused."""
 import pytest
 
-from overcubic import catalogs, certify, congruence, density, dissect, etaq, oracle, series
+from conftest import dilate, interleave, phi, psi, sellers_product
+from overcubic import catalogs, certify, congruence, density, etaq, oracle
 from overcubic.catalogs import Family
 from overcubic.errors import InsufficientPrecision, NegativeValuation
 from overcubic.etaq import FMonomial
@@ -23,10 +25,10 @@ REFUSALS = {
     "monomial-unsorted-factors": (
         lambda: FMonomial(1, 0, ((2, 1), (1, 1))), ValueError, "factors must be sorted"
     ),
-    "phi-order-0": (lambda: etaq.phi(0), ValueError, "order must be >= 1"),
-    "psi-order-0": (lambda: etaq.psi(0), ValueError, "order must be >= 1"),
-    "sellers-order-0": (lambda: etaq.sellers_product(1, 0), ValueError, "order must be >= 1"),
-    "sellers-t-0": (lambda: etaq.sellers_product(0, 5), ValueError, "t must be >= 1"),
+    "phi-order-0": (lambda: phi(0), ValueError, "order must be >= 1"),
+    "psi-order-0": (lambda: psi(0), ValueError, "order must be >= 1"),
+    "sellers-order-0": (lambda: sellers_product(1, 0), ValueError, "order must be >= 1"),
+    "sellers-t-0": (lambda: sellers_product(0, 5), ValueError, "t must be >= 1"),
     "criterion-no-positive-exponent": (
         lambda: etaq.cotron_check(FMonomial.make(factors={1: -2}), 2),
         ValueError,
@@ -61,13 +63,13 @@ REFUSALS = {
     "exception-structure-negative-k": (
         lambda: density.exception_structure_check(-1, 10), ValueError, "k must be >= 0"
     ),
-    "interleave-no-part": (lambda: dissect.interleave([]), ValueError, "need at least one part"),
+    "interleave-no-part": (lambda: interleave([]), ValueError, "need at least one part"),
     "interleave-negative-valuation": (
-        lambda: dissect.interleave([TruncatedSeries.make(-1, [1, 1], 1)]),
+        lambda: interleave([TruncatedSeries.make(-1, [1, 1], 1)]),
         NegativeValuation,
         "valuation >= 0 parts",
     ),
-    "dilate-m-0": (lambda: series.dilate(ONE, 0), ValueError, "dilation factor must be >= 1"),
+    "dilate-m-0": (lambda: dilate(ONE, 0), ValueError, "dilation factor must be >= 1"),
     "oracle-k-0": (lambda: oracle.table("overcubic-ktuple", 5, 0), ValueError, "k must be >= 1"),
     "certificate-factor-0": (
         lambda: certify.RaduCertificate(
