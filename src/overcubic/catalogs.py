@@ -1,8 +1,8 @@
 """The JSON catalogs (families, identities, certificates) and their one reader.
 
-User-supplied paths take precedence; bare relative names such as
-``identities/lemma_dissections.json`` fall back to the copies shipped
-inside the package, so CLI invocations work from any directory.
+A path the user types is read from the working directory first, then from
+the copies shipped inside the package, so CLI invocations work from any
+directory; the family table and the paper suites read the packaged copies.
 
 Every number in these files is a JSON integer, never a bool, a float or
 a string; factor keys are decimal strings, names strings and sums lists.
@@ -80,7 +80,7 @@ def family_table() -> dict[str, tuple[etaq.FMonomial, bool]]:
     """name -> (monomial, tuple flag).  A tuple family stores one member's
     f-product; Family.monomial raises it to the k-th power."""
     return read(
-        "families/catalog.json",
+        _packaged("families/catalog.json"),
         "family catalog",
         lambda entries: {
             _typed(e["name"], str): (_monomial(e), _typed(e.get("tuple", False), bool))

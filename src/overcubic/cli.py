@@ -368,6 +368,10 @@ def main(argv=None) -> int:
     try:
         job = job_parser.parse_known_args(argv)[0].job
         args = build_parser().parse_args(_with_job(job, argv) if job else argv)
+        for dest, value in vars(args).items():
+            # argparse drops the value of --flag=-- and stores [], unchecked
+            if isinstance(value, list):
+                raise ValueError(f"--{dest.replace('_', '-')} needs a value, not '--'")
         return args.func(args)
     # json.JSONDecodeError is a ValueError; JSON nested too deep raises RecursionError
     except (ValueError, OSError, RecursionError) as exc:

@@ -145,13 +145,11 @@ def scan_order(max_m: int, n_min: int) -> int:
 
 
 def scan_moduli(moduli: Iterable[int]) -> list[int]:
-    """The moduli a scan checks: each candidate once, ascending, every one
-    passed by the one modulus rule before the first build."""
+    """The moduli a scan checks: each candidate once, ascending; its
+    etaq.residue_arrays refuses one the modulus rule refuses before any build."""
     moduli = sorted(set(moduli))
     if not moduli:
         raise ValueError("need at least one modulus")
-    for M in moduli:
-        etaq.residue_modulus(M)
     return moduli
 
 
@@ -163,8 +161,8 @@ def scan(
     is kept only when the winning modulus at n_min samples is unchanged at
     twice as many, which suppresses truncation-order artifacts.  A scan of
     more than MAX_SCAN_CHECKS checks, or whose ring builds together are above
-    etaq.MAX_PASS_WORK, is refused before any build.  Each ring's build
-    leaves the memo once the last modulus that reads it is checked."""
+    etaq.MAX_PASS_WORK (etaq.residue_arrays charges and frees them), is
+    refused before any build."""
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     if n_min < 100:
@@ -175,30 +173,14 @@ def scan(
         raise InsufficientPrecision(
             f"scan of {checks} progression checks is above the scan-work ceiling {MAX_SCAN_CHECKS}"
         )
-    order = scan_order(max_m, n_min)
-    mon = family.monomial
-    # ring -> the last modulus that reads it: the word ring serves every even
-    # modulus, and each odd part above 1 is a ring of its own
-    last = {}
-    for M in moduli:
-        two, odd = etaq.residue_modulus(M)
-        if two > 1:
-            last[etaq.WORD] = M
-        if odd > 1:
-            last[odd] = M
-    etaq.check_pass_work(mon.factors, order, len(last))
     # (m, j) -> the largest modulus dividing its n_min samples, None unless it divides twice as many
     first = {}
-    for M in moduli:
-        arr = etaq.residue_array(mon, order, M)
+    for M, arr in etaq.residue_arrays(family.monomial, scan_order(max_m, n_min), moduli):
         for m in range(1, max_m + 1):
             for j in range(m):
                 if (m, j) not in first and not np.any(arr[j::m][:n_min]):
                     first[m, j] = None if np.any(arr[j::m][: 2 * n_min]) else M
         del arr  # one residue array alive at a time
-        for ring, final in last.items():
-            if final == M:
-                etaq.forget(mon.factors, ring)
     found = sorted((m, j, M) for (m, j), M in first.items() if M)  # in (m, j) order
     return [CongruenceClaim(family, m=m, j=j, modulus=M, status="discovered") for m, j, M in found]
 
@@ -316,81 +298,84 @@ _IDENTITY_CATALOGS = (
 )
 
 
-def _claim_suite(default_n: int, claims_of, dilates: bool = False, label: str = PROVED):
-    """A claim suite's entry.  claims_of maps the alpha bound to the claims;
-    the suite reads n_limit, and alpha_limit when it dilates (at 0 too,
-    which only yields no dilation).  Conjecture evidence samples one
-    dilation step deeper by default."""
+def _claim_suite(claims_of, label: str = PROVED):
+    """A claim suite's checks of n <= n_limit.  claims_of maps the suite's
+    other bounds (alpha_limit, for a suite that dilates; 0 yields no
+    dilation) to its claims, and the report echoes them when some claim does."""
 
-    def checks(n_limit, alpha_limit, order):
-        n = default_n if n_limit is None else n_limit
-        a = (6 if label == CONJECTURE_LABEL else 5) if alpha_limit is None else alpha_limit
-        claims = claims_of(a)
-        params = {"n_limit": n, "label": label}
+    def checks(n_limit, **dilation):
+        claims = claims_of(**dilation)
+        params = {"n_limit": n_limit, "label": label}
         if any(c.alpha for c in claims):
-            params["alpha_limit"] = a
+            params.update(dilation)
         return params, [
-            (required_order(c, n), lambda c=c: [verify_congruence(c, n, label)]) for c in claims
+            (required_order(c, n_limit), lambda c=c: [verify_congruence(c, n_limit, label)])
+            for c in claims
         ]
 
-    return ("n_limit", "alpha_limit") if dilates else ("n_limit",), checks
+    return checks
 
 
-def _suite_9(n_limit, alpha_limit, order):
-    n = 2000 if order is None else order
-    params = {"order": n, "k_values": [1, 2, 3], "label": PROVED}
-    return params, [(n, lambda: [tuple_vs_single_mod4(k, n) for k in (1, 2, 3)])]
+def _suite_9(order):
+    params = {"order": order, "k_values": [1, 2, 3], "label": PROVED}
+    return params, [(order, lambda: [tuple_vs_single_mod4(k, order) for k in (1, 2, 3)])]
 
 
-def _lacunary(n_limit, alpha_limit, order):
+def _lacunary():
     return {"x_grid": _LACUNARY_GRID}, [(_LACUNARY_GRID[-1] + 1, _lacunary_results)]
 
 
-def _dissections(n_limit, alpha_limit, order):
-    n = 2000 if order is None else order
-    claims = [c for ref in _IDENTITY_CATALOGS for c in catalogs.load_identity_catalog(ref)]
-    return {"order": n, "catalogs": list(_IDENTITY_CATALOGS)}, [
-        (dissect.lhs_order(c, n), lambda c=c: [dissect.verify_identity(c, n)]) for c in claims
+def _dissections(order):
+    paths = map(catalogs._packaged, _IDENTITY_CATALOGS)
+    claims = [c for path in paths for c in catalogs.load_identity_catalog(path)]
+    return {"order": order, "catalogs": list(_IDENTITY_CATALOGS)}, [
+        (dissect.lhs_order(c, order), lambda c=c: [dissect.verify_identity(c, order)])
+        for c in claims
     ]
 
 
-def _certificate(n_limit, alpha_limit, order):
-    n = 300 if order is None else order
-    cert = catalogs.load_certificate("certs/bt_8n7.json")
-    check = (certify.base_order(cert, n), lambda: [certify.verify_certificate(cert, n)])
-    return {"order": n}, [check]
+def _certificate(order):
+    cert = catalogs.load_certificate(catalogs._packaged("certs/bt_8n7.json"))
+    check = (certify.base_order(cert, order), lambda: [certify.verify_certificate(cert, order)])
+    return {"order": order}, [check]
 
 
-# Every paper-suite entry, in `--theorem all` order: the bounds it reads,
-# and a function mapping (n_limit, alpha_limit, order) to its echoed
-# parameters and its checks; a check is (the largest order it expands to, a
-# function returning its results).  An unset bound takes the suite's default.
+# Every paper-suite entry, in `--theorem all` order: the bounds it reads, each
+# with its default (conjecture evidence dilates one step deeper), and a
+# function of those bounds returning its echoed parameters and its checks; a
+# check is (the largest order it expands to, a function returning its results).
 SUITES = {
-    "1": _claim_suite(1000, lambda a: _claims(THEOREM_1_TABLE)),
-    "2": _claim_suite(200, lambda a: _claims(((4, 3, 4), (8, 5, 32)), a), dilates=True),
-    "3": _claim_suite(500, lambda a: _claims(((72, 21, 128), (72, 69, 384)))),
-    "5": _claim_suite(500, lambda a: _claims(THEOREM_5_TABLE, families=_TUPLES)),
-    "9": (("order",), _suite_9),
-    "mod4-progressions": _claim_suite(
-        500,
-        lambda a: [c for p in (3, 5, 7, 11) for k in (0, 1) for c in nonresidue_progressions(p, k)],
+    "1": ({"n_limit": 1000}, _claim_suite(lambda: _claims(THEOREM_1_TABLE))),
+    "2": (
+        {"n_limit": 200, "alpha_limit": 5},
+        _claim_suite(lambda alpha_limit: _claims(((4, 3, 4), (8, 5, 32)), alpha_limit)),
     ),
-    "conjecture-1": _claim_suite(
-        200,
-        lambda a: _claims(((8, 7, 64),), a, CONJECTURED),
-        dilates=True,
-        label=CONJECTURE_LABEL,
+    "3": ({"n_limit": 500}, _claim_suite(lambda: _claims(((72, 21, 128), (72, 69, 384))))),
+    "5": ({"n_limit": 500}, _claim_suite(lambda: _claims(THEOREM_5_TABLE, families=_TUPLES))),
+    "9": ({"order": 2000}, _suite_9),
+    "mod4-progressions": (
+        {"n_limit": 500},
+        _claim_suite(
+            lambda: [c for p in (3, 5, 7, 11) for k in (0, 1) for c in nonresidue_progressions(p, k)]
+        ),
     ),
-    "conjecture-2": _claim_suite(
-        200,
-        lambda a: _claims(((144, 42, 384),), 0, CONJECTURED)
-        + _claims(((72, 21, 128), (72, 69, 128)), a, CONJECTURED),
-        dilates=True,
-        label=CONJECTURE_LABEL,
+    "conjecture-1": (
+        {"n_limit": 200, "alpha_limit": 6},
+        _claim_suite(
+            lambda alpha_limit: _claims(((8, 7, 64),), alpha_limit, CONJECTURED), CONJECTURE_LABEL
+        ),
     ),
-    "lacunary": ((), _lacunary),
-    "dissections": (("order",), _dissections),
-    "certificate": (("order",), _certificate),
+    "conjecture-2": (
+        {"n_limit": 200, "alpha_limit": 6},
+        _claim_suite(
+            lambda alpha_limit: _claims(((144, 42, 384),), 0, CONJECTURED)
+            + _claims(((72, 21, 128), (72, 69, 128)), alpha_limit, CONJECTURED),
+            CONJECTURE_LABEL,
+        ),
+    ),
+    "lacunary": ({}, _lacunary),
+    "dissections": ({"order": 2000}, _dissections),
+    "certificate": ({"order": 300}, _certificate),
 }
 
 
@@ -400,15 +385,18 @@ def run_suites(
     """Echoed parameters per suite, and every result sorted by name, of the
     named suites.  Their checks run in one etaq.largest_first pass, so each
     expansion is built once per run; an unset bound takes each suite's
-    default, and a set bound that no named suite reads is refused."""
+    default from SUITES, and a set bound that no named suite reads is
+    refused."""
     if alpha_limit is not None and alpha_limit < 0:
         raise ValueError("alpha_limit must be >= 0")
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    for bound, value in (("n_limit", n_limit), ("alpha_limit", alpha_limit), ("order", order)):
-        if value is not None and not any(bound in SUITES[name][0] for name in names):
-            readers = ", ".join(name for name, (reads, _) in SUITES.items() if bound in reads)
+    given = {"n_limit": n_limit, "alpha_limit": alpha_limit, "order": order}
+    given = {bound: value for bound, value in given.items() if value is not None}
+    for bound in given:
+        if not any(bound in SUITES[name][0] for name in names):
+            readers = ", ".join(name for name, (bounds, _) in SUITES.items() if bound in bounds)
             raise ValueError(f"no selected suite reads {bound}; suites {readers} do")
     if alpha_limit is not None and alpha_limit >= etaq.MAX_ORDER.bit_length():
         # every dilated suite row has j >= 1, so its order is above 2^alpha_limit
@@ -418,7 +406,10 @@ def run_suites(
         )
     parameters, checks = {}, []
     for name in names:
-        parameters[name], suite_checks = SUITES[name][1](n_limit, alpha_limit, order)
+        bounds, suite = SUITES[name]
+        parameters[name], suite_checks = suite(
+            **{bound: given.get(bound, default) for bound, default in bounds.items()}
+        )
         checks += suite_checks
     results = [r for found in etaq.largest_first(checks) for r in found]
     return parameters, sorted(results, key=lambda r: r.name)

@@ -46,8 +46,8 @@ MAX_ORDER = 4_000_000
 # into an object array holds less than that, so the estimate stays an upper
 # bound.
 # The cap admits the triple family to order 95,207; `coeffs --family
-# overcubic-triple --indices 95206` took 33 s cold at 118 MB peak RSS on a
-# 2-core machine.
+# overcubic-triple --indices 95206` took 15-21 s cold at 81 MB peak RSS on
+# a 2-core machine.
 MAX_EXACT_BYTES = 1 << 27
 
 # Ceiling on the work of one build, in any ring, checked before its first
@@ -159,12 +159,6 @@ def _cached(key, n: int, build):
     if hit is None or hit[0] < n:
         hit = _memo[key] = (n, build(n))
     return hit[1]
-
-
-def forget(factors: tuple[tuple[int, int], ...], ring: int) -> None:
-    """Drop the memo's build of prod f_delta^r over `ring` (WORD, or an odd
-    modulus), for a caller that reads that ring no more."""
-    _memo.pop((factors, ring), None)
 
 
 def largest_first(checks) -> list:
@@ -336,6 +330,27 @@ def residue_array(monomial: FMonomial, order: int, modulus: int) -> np.ndarray:
     return out
 
 
+def residue_arrays(monomial: FMonomial, order: int, moduli: Iterable[int]):
+    """(M, residue_array(monomial, order, M)) for each modulus in turn.  Its
+    rings' builds (the word ring for every even M, and one ring per odd part
+    above 1) are charged to MAX_PASS_WORK together before the first, and each
+    leaves the memo once the last modulus that reads it is served."""
+    moduli = list(moduli)
+    last = {}  # ring -> the last modulus that reads it
+    for M in moduli:
+        two, odd = residue_modulus(M)
+        if two > 1:
+            last[WORD] = M
+        if odd > 1:
+            last[odd] = M
+    check_pass_work(monomial.factors, order, len(last))
+    for M in moduli:
+        yield M, residue_array(monomial, order, M)
+        for ring, final in last.items():
+            if final == M:
+                _memo.pop((monomial.factors, ring), None)
+
+
 # ---------------------------------------------------------------------------
 # public expansion operations
 
@@ -355,7 +370,7 @@ def expand_monomial(m: FMonomial, n: int) -> list[int]:
     size = exact_bytes(m.factors, length)
     if size > MAX_EXACT_BYTES:
         raise InsufficientPrecision(
-            f"exact expansion to order {n} needs about {size:.3g} bytes,"
+            f"exact expansion of {length} coefficients needs about {size:.3g} bytes,"
             f" above the exact-path ceiling {MAX_EXACT_BYTES}"
         )
     coeffs = _expand_factors(m.factors, length, None)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from overcubic import catalogs, cli, density, etaq
@@ -515,6 +516,26 @@ BAD_INPUTS = {
     "expand-mod-pass-work": (
         ["expand", "--factors", "1:3000000", "--order", "10", "--mod", "3"], None
     ),
+    # the estimate covers the window [qpower, order), so the message counts it
+    "expand-exact-ceiling-negative-qpower": (
+        ["expand", "--factors", "1:-1", "--order", "5", "--qpower", "-99999999"], None
+    ),
+    # argparse drops the value of --flag=-- and stored [], which raised a
+    # traceback, or with --output wrote the report to stdout
+    "expand-factors-double-dash": (["expand", "--factors=--", "--order", "20"], None),
+    "expand-order-double-dash": (["expand", "--family", "overcubic", "--order=--"], None),
+    "scan-moduli-double-dash": (
+        ["scan", "--family", "partition", "--max-m", "5", "--moduli=--", "--n-min", "150"], None
+    ),
+    "paper-suite-theorem-double-dash": (["paper-suite", "--theorem=--"], None),
+    "verify-output-double-dash": (
+        ["verify", "--family", "overcubic", "--progression", "8,7", "--mod", "4",
+         "--n-limit", "3", "--output=--"], None
+    ),
+    "verify-job-double-dash": (
+        ["verify", "--job=--", "--family", "overcubic", "--progression", "8,7", "--mod", "4",
+         "--n-limit", "3"], None
+    ),
 }
 
 MALFORMED = [
@@ -566,6 +587,13 @@ BAD_INPUT_MESSAGES = {
     "identity-exact-ceiling": "above the exact-path ceiling",
     "expand-exact-pass-work": "above the pass-work ceiling",
     "expand-mod-pass-work": "above the pass-work ceiling",
+    "expand-exact-ceiling-negative-qpower": "exact expansion of 100000004 coefficients needs about",
+    "expand-factors-double-dash": "error: --factors needs a value, not '--'",
+    "expand-order-double-dash": "error: --order needs a value, not '--'",
+    "scan-moduli-double-dash": "error: --moduli needs a value, not '--'",
+    "paper-suite-theorem-double-dash": "error: --theorem needs a value, not '--'",
+    "verify-output-double-dash": "error: --output needs a value, not '--'",
+    "verify-job-double-dash": "error: --job needs a value, not '--'",
 }
 
 
@@ -888,6 +916,7 @@ def _has_float(node) -> bool:
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(case=_FUZZ_CASES)
+@example(case=(["expand", "--factors=--", "--order", "20"], None, False))
 def test_outside_input_exits_0_1_or_2(tmp_path, monkeypatch, capsys, case):
     """Any catalog value, --factors text or --job object ends in exit 0, 1
     or 2, never in a traceback; a catalog holding a non-integer number ends
@@ -904,3 +933,39 @@ def test_outside_input_exits_0_1_or_2(tmp_path, monkeypatch, capsys, case):
     assert code in (0, 1, 2)
     if is_catalog and _has_float(content):
         assert code == 2
+
+
+# the report bytes of test_report_bytes.py's every-suite row
+_ALL_SUITES = ["paper-suite", "--theorem", "all", "--n-limit", "20", "--alpha-limit", "1",
+               "--order", "300"]
+_ALL_SUITES_DIGEST = "c6d110d5a9c4df99127139ba5259e4f8ce182743b27ae1b2a616a16768459b86"
+
+
+def test_working_directory_files_do_not_redefine_the_paper(tmp_path, monkeypatch, capsys):
+    # decoys at every packaged name the family table and the suites read: a
+    # triple that is 1/f1, identities that are false and a certificate whose
+    # polynomial is off by one
+    false_identity = one_identity(rhs={"sum": [{"factors": {"2": 1}}]})
+    decoys = {
+        "families/catalog.json": [{"name": "overcubic-triple", "qpower": 0, "factors": {"1": -1}}],
+        "identities/lemma_dissections.json": false_identity,
+        "identities/congruence_identities.json": false_identity,
+        "identities/theta_dissections.json": false_identity,
+        "certs/bt_8n7.json": {**CERT, "polynomial": [CERT["polynomial"][0] + 1,
+                                                     *CERT["polynomial"][1:]]},
+    }
+    for name, content in decoys.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(json.dumps(content))
+    monkeypatch.chdir(tmp_path)
+    catalogs.family_table.cache_clear()  # read the table from here, not from an earlier call
+    try:
+        code, out = run_cli(capsys, *_ALL_SUITES)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == _ALL_SUITES_DIGEST
+        code, out = run_cli(
+            capsys, "verify", "--family", "overcubic-triple", "--progression", "8,7",
+            "--mod", "64", "--n-limit", "10"
+        )
+        assert code == 0
+    finally:
+        catalogs.family_table.cache_clear()

@@ -24,7 +24,7 @@ from conftest import (
 )
 from overcubic import etaq, oracle
 from overcubic.catalogs import Family
-from overcubic.errors import NonIntegerWeight, UnsupportedModulus
+from overcubic.errors import InsufficientPrecision, NonIntegerWeight, UnsupportedModulus
 from overcubic.etaq import (
     CriterionReport,
     FMonomial,
@@ -344,6 +344,29 @@ def test_crt_residues_leave_the_cache_alone(monkeypatch):
     cached = [residue_array(TRIPLE, 5000, m) for m in (128, 3)]
     etaq._memo.clear()
     assert all(np.array_equal(a, residue_array(TRIPLE, 5000, m)) for a, m in zip(cached, (128, 3)))
+
+
+def test_residue_arrays_frees_each_ring_after_its_last_modulus(monkeypatch):
+    # the word ring serves 128, 384 and 64, the mod-3 ring 384, and ring 9 the modulus 9
+    monkeypatch.setattr(etaq, "_memo", {})
+    moduli = [128, 384, 9, 64]
+    rings = []
+    for M, arr in etaq.residue_arrays(TRIPLE, 3000, moduli):
+        assert np.array_equal(arr, residue_array(TRIPLE, 3000, M))
+        rings.append(sorted(ring for _, ring in etaq._memo))
+    assert rings == [[etaq.WORD], [3, etaq.WORD], [9, etaq.WORD], [etaq.WORD]]
+    assert not etaq._memo
+
+
+def test_residue_arrays_charges_every_ring_before_the_first_build(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(etaq, "_expand_factors", no_build)
+    # at MAX_ORDER the triple's 4 passes fit four rings, not five
+    assert 4 * 4 * (etaq.MAX_ORDER + etaq.PASS_CHARGE) <= etaq.MAX_PASS_WORK
+    with pytest.raises(InsufficientPrecision, match="above the pass-work ceiling"):
+        next(etaq.residue_arrays(TRIPLE, etaq.MAX_ORDER, [4, 3, 5, 7, 11]))
 
 
 # -- theta series ---------------------------------------------------------------
