@@ -86,10 +86,11 @@ def _report(args, parameters: dict, body: dict, passed: bool = True, csv=None) -
     return 0 if passed else 1
 
 
-def _records(args, parameters: dict, results, columns=None) -> int:
+def _records(args, parameters: dict, results, columns=()) -> int:
     """The report of checked claims: one record per result, passed when
-    every result passed, and the records' `columns` under --format csv."""
+    every result passed, and under --format csv the `columns` and verdict."""
     records = [r.to_record() for r in results]
+    columns = (*columns, "verdict")
     passed = all(r.passed for r in results)
     return _report(args, parameters, {"records": records}, passed, lambda: to_csv(records, columns))
 

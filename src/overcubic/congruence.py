@@ -8,6 +8,7 @@ residue expansion mod the claim's modulus (etaq.residue_array).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -20,7 +21,6 @@ from .reporting import VerificationResult
 PROVED = "proved-in-paper"
 CONJECTURED = "conjectured"
 STATUSES = (PROVED, CONJECTURED, "discovered")
-CONJECTURE_LABEL = "conjectured, numerical evidence only"
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,8 @@ def required_order(claim: CongruenceClaim, n_limit: int) -> int:
     return (base << claim.alpha) + 1
 
 
-def verify_congruence(
-    claim: CongruenceClaim, n_limit: int, label: str | None = None
-) -> VerificationResult:
-    """Check the claim at every n in [0, n_limit]; reports the first
-    violating n on failure.  The result's status is `label`, by default the
-    claim's status."""
+def verify_congruence(claim: CongruenceClaim, n_limit: int) -> VerificationResult:
+    """Check the claim at every n in [0, n_limit]; reports the first violating n."""
     order = required_order(claim, n_limit)
     arr = etaq.residue_array(claim.family.monomial, order, claim.modulus)
     # arr ends at index (m n_limit + j) 2^alpha, so the slice is n = 0..n_limit
@@ -93,7 +89,6 @@ def verify_congruence(
         passed=first is None,
         first_violation=first,
         n_checked=n_limit,
-        status=label or claim.status,
         claim=claim.to_dict(),
         orders={"expansion": order},
     )
@@ -226,69 +221,41 @@ def _claims(table, alpha_limit=0, status=PROVED, families=(("overcubic-triple", 
     ]
 
 
-def tuple_vs_single_mod4(k: int, order: int) -> VerificationResult:
-    """Coefficientwise congruence mod 4 between the (2k+1)-tuple family and
-    the single overcubic family, checked below `order`."""
-    mon_tuple = Family("overcubic-ktuple", 2 * k + 1).monomial
-    mon_single = Family("overcubic").monomial
-    a = etaq.residue_array(mon_tuple, order, 4)
-    b = etaq.residue_array(mon_single, order, 4)
-    hits = np.nonzero(a != b)[0]
-    first = int(hits[0]) if hits.size else None
-    return VerificationResult(
-        name=f"overcubic-ktuple[k={2*k+1}] == overcubic mod 4",
-        passed=first is None,
-        first_violation=first,
-        n_checked=order - 1,
-        status=PROVED,
-        claim={"family": "overcubic-ktuple", "k": 2 * k + 1, "modulus": 4},
-        orders={"expansion": order},
-    )
-
-
 _LACUNARY_GRID = [100, 1000, 10000]
 
 
-def _lacunary_results() -> list:
-    results = []
-    for k in range(1, 5):
-        rep = etaq.cotron_check(Family("overcubic-ktuple", k).monomial, 2)
-        results.append(
-            VerificationResult(
-                name=f"divisibility-criterion k={k}",
-                passed=rep.lacunary and rep.max_power_exponent == 2 and rep.bound_squared == 16,
-                status=PROVED,
-                claim={
-                    "prime": rep.prime,
-                    "a": rep.max_power_exponent,
-                    "bound_squared": str(rep.bound_squared),
-                    "lacunary": rep.lacunary,
-                },
-            )
-        )
-    for e in (3, 4, 5, 6):
-        rep = density.compute_density(Family("overcubic-triple"), 1 << e, 0, _LACUNARY_GRID)
-        deltas = [row[2] for row in rep.rows]
-        ok = all(a <= b for a, b in zip(deltas, deltas[1:]))
-        results.append(
-            VerificationResult(
-                name=f"density-trend mod 2^{e}",
-                passed=ok,
-                status="trend check (the limit itself is not desk-reproducible)",
-                claim={"deltas": [str(d) for d in deltas], "x_grid": _LACUNARY_GRID},
-            )
-        )
-    for k in (0, 1):
-        ok = density.exception_structure_check(k, _LACUNARY_GRID[-1])
-        results.append(
-            VerificationResult(
-                name=f"mod-4 exceptions are squares and twice-squares, k={k}",
-                passed=ok,
-                status=PROVED,
-                claim={"k": k, "X": _LACUNARY_GRID[-1]},
-            )
-        )
-    return results
+def _criterion(k):
+    rep = etaq.cotron_check(Family("overcubic-ktuple", k).monomial, 2)
+    return VerificationResult(
+        name=f"divisibility-criterion k={k}",
+        passed=rep.lacunary and rep.max_power_exponent == 2 and rep.bound_squared == 16,
+        verdict="criterion",
+        claim={
+            "prime": rep.prime,
+            "a": rep.max_power_exponent,
+            "bound_squared": str(rep.bound_squared),
+            "lacunary": rep.lacunary,
+            "status": PROVED,
+        },
+    )
+
+
+def _density_trend(e):
+    rep = density.compute_density(Family("overcubic-triple"), 1 << e, 0, _LACUNARY_GRID)
+    deltas = [row[2] for row in rep.rows]
+    return VerificationResult(
+        name=f"density-trend mod 2^{e}",
+        passed=all(a <= b for a, b in zip(deltas, deltas[1:])),
+        claim={"deltas": [str(d) for d in deltas], "x_grid": _LACUNARY_GRID, "status": PROVED},
+    )
+
+
+def _exceptions(k):
+    return VerificationResult(
+        name=f"mod-4 exceptions are squares and twice-squares, k={k}",
+        passed=density.exception_structure_check(k, _LACUNARY_GRID[-1]),
+        claim={"k": k, "X": _LACUNARY_GRID[-1], "status": PROVED},
+    )
 
 
 _IDENTITY_CATALOGS = (
@@ -298,52 +265,62 @@ _IDENTITY_CATALOGS = (
 )
 
 
-def _claim_suite(claims_of, label: str = PROVED):
+def _claim_suite(claims_of):
     """A claim suite's checks of n <= n_limit.  claims_of maps the suite's
     other bounds (alpha_limit, for a suite that dilates; 0 yields no
     dilation) to its claims, and the report echoes them when some claim does."""
 
     def checks(n_limit, **dilation):
         claims = claims_of(**dilation)
-        params = {"n_limit": n_limit, "label": label}
+        params = {"n_limit": n_limit}
         if any(c.alpha for c in claims):
             params.update(dilation)
         return params, [
-            (required_order(c, n_limit), lambda c=c: [verify_congruence(c, n_limit, label)])
-            for c in claims
+            (required_order(c, n_limit), partial(verify_congruence, c, n_limit)) for c in claims
         ]
 
     return checks
 
 
 def _suite_9(order):
-    params = {"order": order, "k_values": [1, 2, 3], "label": PROVED}
-    return params, [(order, lambda: [tuple_vs_single_mod4(k, order) for k in (1, 2, 3)])]
+    """The (2k+1)-tuple family equals the single overcubic family mod 4."""
+    single = (Family("overcubic").monomial,)
+    claims = [
+        dissect.IdentityClaim(
+            f"overcubic-ktuple[k={k}] == overcubic mod 4",
+            (Family("overcubic-ktuple", k).monomial,),
+            single,
+            modulus=4,
+        )
+        for k in (3, 5, 7)
+    ]
+    return {"order": order, "k_values": [1, 2, 3]}, dissect.identity_checks(claims, order)
 
 
 def _lacunary():
-    return {"x_grid": _LACUNARY_GRID}, [(_LACUNARY_GRID[-1] + 1, _lacunary_results)]
+    checks = [partial(_criterion, k) for k in range(1, 5)]
+    checks += [partial(_density_trend, e) for e in (3, 4, 5, 6)]
+    checks += [partial(_exceptions, k) for k in (0, 1)]
+    return {"x_grid": _LACUNARY_GRID}, [(_LACUNARY_GRID[-1] + 1, check) for check in checks]
 
 
 def _dissections(order):
     paths = map(catalogs._packaged, _IDENTITY_CATALOGS)
     claims = [c for path in paths for c in catalogs.load_identity_catalog(path)]
-    return {"order": order, "catalogs": list(_IDENTITY_CATALOGS)}, [
-        (dissect.lhs_order(c, order), lambda c=c: [dissect.verify_identity(c, order)])
-        for c in claims
-    ]
+    params = {"order": order, "catalogs": list(_IDENTITY_CATALOGS)}
+    return params, dissect.identity_checks(claims, order)
 
 
 def _certificate(order):
     cert = catalogs.load_certificate(catalogs._packaged("certs/bt_8n7.json"))
-    check = (certify.base_order(cert, order), lambda: [certify.verify_certificate(cert, order)])
-    return {"order": order}, [check]
+    check = partial(certify.verify_certificate, cert, order)
+    return {"order": order}, [(certify.base_order(cert, order), check)]
 
 
 # Every paper-suite entry, in `--theorem all` order: the bounds it reads, each
 # with its default (conjecture evidence dilates one step deeper), and a
 # function of those bounds returning its echoed parameters and its checks; a
-# check is (the largest order it expands to, a function returning its results).
+# check is (the largest order it expands to, a function returning its result).
 SUITES = {
     "1": ({"n_limit": 1000}, _claim_suite(lambda: _claims(THEOREM_1_TABLE))),
     "2": (
@@ -361,16 +338,13 @@ SUITES = {
     ),
     "conjecture-1": (
         {"n_limit": 200, "alpha_limit": 6},
-        _claim_suite(
-            lambda alpha_limit: _claims(((8, 7, 64),), alpha_limit, CONJECTURED), CONJECTURE_LABEL
-        ),
+        _claim_suite(lambda alpha_limit: _claims(((8, 7, 64),), alpha_limit, CONJECTURED)),
     ),
     "conjecture-2": (
         {"n_limit": 200, "alpha_limit": 6},
         _claim_suite(
             lambda alpha_limit: _claims(((144, 42, 384),), 0, CONJECTURED)
-            + _claims(((72, 21, 128), (72, 69, 128)), alpha_limit, CONJECTURED),
-            CONJECTURE_LABEL,
+            + _claims(((72, 21, 128), (72, 69, 128)), alpha_limit, CONJECTURED)
         ),
     ),
     "lacunary": ({}, _lacunary),
@@ -411,5 +385,4 @@ def run_suites(
             **{bound: given.get(bound, default) for bound, default in bounds.items()}
         )
         checks += suite_checks
-    results = [r for found in etaq.largest_first(checks) for r in found]
-    return parameters, sorted(results, key=lambda r: r.name)
+    return parameters, sorted(etaq.largest_first(checks), key=lambda r: r.name)

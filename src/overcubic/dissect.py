@@ -122,6 +122,10 @@ def verify_identity(claim: IdentityClaim, n: int) -> VerificationResult:
     )
 
 
+def identity_checks(claims: Iterable[IdentityClaim], n: int) -> list:
+    """The (largest order, check) pair of each claim's check to order n."""
+    return [(lhs_order(c, n), partial(verify_identity, c, n)) for c in claims]
+
+
 def verify_catalog(claims: Iterable[IdentityClaim], n: int) -> list[VerificationResult]:
-    checks = [(lhs_order(c, n), partial(verify_identity, c, n)) for c in claims]
-    return sorted(etaq.largest_first(checks), key=lambda r: r.name)
+    return sorted(etaq.largest_first(identity_checks(claims, n)), key=lambda r: r.name)

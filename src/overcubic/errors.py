@@ -18,7 +18,7 @@ class NonIntegerWeight(QSeriesError):
 
 
 class CapExceeded(QSeriesError):
-    """Enumeration was asked for an n above oracle.MAX_N."""
+    """Enumeration was asked for an n above oracle.MAX_N or a k above oracle.MAX_K."""
 
 
 class UnsupportedModulus(QSeriesError):

@@ -15,6 +15,11 @@ from .errors import CapExceeded
 # a 10^30-tuple table took 70 ms on a 2-core machine, and 2 s at n = 100.
 MAX_N = 40
 
+# Largest tuple length, refused before the first convolution: Python prints at
+# most 4300 digits, and at n = MAX_N the overcubic-ktuple count, which bounds
+# opt-ktuple's, has 4299 digits at k = 2^360 and 4312 at k = 2^361.
+MAX_K = 1 << 360
+
 # family -> (classes per even part size, 0 meaning odd parts only;
 # whether a class's first instance may be overlined; tuple length, None
 # where k sets it)
@@ -78,5 +83,7 @@ def table(family: str, n_max: int, k: int = 1) -> list[int]:
     if length is None:
         if k < 1:
             raise ValueError("k must be >= 1")
+        if k > MAX_K:
+            raise CapExceeded(f"k={k} above enumeration cap 2^{MAX_K.bit_length() - 1}")
         length = k
     return _convolve_tables(_counts_by_classes(n_max, even_colors, overline), length)

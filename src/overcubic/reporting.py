@@ -17,25 +17,24 @@ from typing import Any
 
 @dataclass
 class VerificationResult:
-    """Outcome of one checked claim."""
+    """Outcome of one claim.  `verdict` is what the run established: "checked"
+    to n_checked (or the claim's X or x_grid), or "criterion"."""
 
     name: str
     passed: bool
     first_violation: int | None = None
     n_checked: int | None = None
-    status: str | None = None
+    verdict: str = "checked"
     detail: str = ""
     claim: dict[str, Any] = field(default_factory=dict)
     orders: dict[str, int] = field(default_factory=dict)
 
     def to_record(self) -> dict[str, Any]:
-        rec: dict[str, Any] = {"name": self.name, "passed": self.passed}
+        rec: dict[str, Any] = {"name": self.name, "passed": self.passed, "verdict": self.verdict}
         rec.update(self.claim)
         if self.n_checked is not None:
             rec["n_checked"] = self.n_checked
         rec["first_violation"] = self.first_violation
-        if self.status is not None:
-            rec["status"] = self.status
         if self.detail:
             rec["detail"] = self.detail
         if self.orders:

@@ -62,8 +62,9 @@ def test_c3_conjecture_evidence_is_labeled():
     for name, expected in (("conjecture-1", 6), ("conjecture-2", 13)):
         parameters, results = cg.run_suites([name], n_limit=200, alpha_limit=5)
         assert all(r.passed for r in results) and len(results) == expected
-        assert parameters[name]["label"] == "conjectured, numerical evidence only"
-        assert all(r.claim["status"] == "conjectured" for r in results)
+        assert "label" not in parameters[name]
+        records = [r.to_record() for r in results]
+        assert all(r["status"] == "conjectured" and r["verdict"] == "checked" for r in records)
         assert parameters[name]["alpha_limit"] == 5
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from overcubic import catalogs, cli, density, etaq
+from overcubic import catalogs, cli, congruence, density, etaq
 from overcubic.cli import main
 
 
@@ -172,9 +172,35 @@ def test_paper_suite_conjecture_is_labeled(capsys):
     )
     assert code == 0
     report = json.loads(out)
+    assert report["records"]
     assert all(
-        r["status"] == "conjectured, numerical evidence only" for r in report["records"]
+        r["status"] == "conjectured" and r["verdict"] == "checked" for r in report["records"]
     )
+
+
+VOCABULARY_RUNS = [
+    "paper-suite --theorem all --n-limit 20 --alpha-limit 1 --order 300",
+    "verify --family overcubic-triple --progression 8,7 --mod 64 --n-limit 20",
+    "verify --family overcubic --progression 4,1 --mod 4 --n-limit 10 --status discovered",
+    *(f"identity --catalog identities/{name}.json --order 200"
+      for name in ("lemma_dissections", "congruence_identities", "theta_dissections")),
+    "certificate --order 100",
+]
+
+
+def test_every_record_states_its_verdict_and_at_most_a_provenance(capsys):
+    # a record's verdict is what the run established, and its status, where
+    # the claim has one, is the claim's provenance, never free text
+    STATUSES = congruence.STATUSES
+    for command in VOCABULARY_RUNS:
+        main(command.split())
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert records, command
+        for record in records:
+            assert record["verdict"] in ("checked", "criterion"), (command, record)
+            criterion = record["name"].startswith("divisibility-criterion")
+            assert (record["verdict"] == "criterion") == criterion, (command, record)
+            assert record.get("status", STATUSES[0]) in STATUSES, (command, record)
 
 
 def test_job_file_fills_unset_flags(tmp_path, capsys):
@@ -463,6 +489,11 @@ BAD_INPUTS = {
          "--mod", "64", "--n-limit", "10"], None
     ),
     "oracle-k-on-fixed-family": (["oracle", "--family", "overcubic", "--k", "5"], None),
+    # the count at n = 40 of a larger k would have more digits than Python prints
+    "oracle-k-above-cap": (
+        ["oracle", "--family", "overcubic-ktuple", "--k", str((1 << 360) + 1), "--max-n", "40"],
+        None,
+    ),
     "expand-k-with-factors": (["expand", "--factors", "1:-1", "--k", "5", "--order", "5"], None),
     # f1 * f1^-1 is 1, not the last factor given for delta 1
     "expand-repeated-delta": (["expand", "--factors", "1:1,1:-1", "--order", "6"], None),
@@ -583,6 +614,7 @@ BAD_INPUT_MESSAGES = {
     "scan-moduli-odd-part-above-2-15": "UnsupportedModulus: modulus 65537 outside the residue range",
     "scan-moduli-1": "modulus must be >= 2",
     "verify-progression-m-0": "m must be >= 1",
+    "oracle-k-above-cap": f"CapExceeded: k={(1 << 360) + 1} above enumeration cap 2^360\n",
     "verify-progression-offset-not-below-m": "0 <= j < m",
     "identity-exact-ceiling": "above the exact-path ceiling",
     "expand-exact-pass-work": "above the pass-work ceiling",
@@ -935,10 +967,11 @@ def test_outside_input_exits_0_1_or_2(tmp_path, monkeypatch, capsys, case):
         assert code == 2
 
 
-# the report bytes of test_report_bytes.py's every-suite row
+# the report bytes of test_report_bytes.py's every-suite row; re-pinned with
+# it when every checked record gained its `verdict`
 _ALL_SUITES = ["paper-suite", "--theorem", "all", "--n-limit", "20", "--alpha-limit", "1",
                "--order", "300"]
-_ALL_SUITES_DIGEST = "c6d110d5a9c4df99127139ba5259e4f8ce182743b27ae1b2a616a16768459b86"
+_ALL_SUITES_DIGEST = "117850723db2da03846607835239279dc9b1acf140d8c007f83540369d209a58"
 
 
 def test_working_directory_files_do_not_redefine_the_paper(tmp_path, monkeypatch, capsys):

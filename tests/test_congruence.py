@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from overcubic import congruence as cg, etaq
+from overcubic import congruence as cg, dissect, etaq
 from overcubic.errors import InsufficientPrecision
 from overcubic.catalogs import Family
 from overcubic.etaq import residue_array
@@ -237,11 +237,22 @@ def test_tuple_vs_single_suite():
     assert all(r.passed for r in results) and len(results) == 3
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_even_tuple_differs_from_single_mod4_at_exponent_1(k):
+    # suite 9's identity claim for an even tuple length is false: a(1) is 2k
+    # for the k-tuple and 2 for the single family
+    tuple_k, single = Family("overcubic-ktuple", k).monomial, Family("overcubic").monomial
+    claim = dissect.IdentityClaim("control", (tuple_k,), (single,), modulus=4)
+    result = dissect.verify_identity(claim, 500)
+    differ = np.nonzero(residue_array(tuple_k, 500, 4) != residue_array(single, 500, 4))[0]
+    assert not result.passed and result.first_violation == 1 == differ[0]
+
+
 def test_conjecture_suites_are_labeled():
     parameters, results = cg.run_suites(["conjecture-1"], n_limit=20, alpha_limit=2)
-    assert parameters["conjecture-1"]["label"] == cg.CONJECTURE_LABEL
-    assert all(r.claim["status"] == "conjectured" for r in results)
-    assert all(r.status == cg.CONJECTURE_LABEL for r in results)
+    assert parameters["conjecture-1"] == {"n_limit": 20, "alpha_limit": 2}
+    records = [r.to_record() for r in results]
+    assert all(r["status"] == "conjectured" and r["verdict"] == "checked" for r in records)
     assert all(r.passed for r in results)
 
 

@@ -1,10 +1,12 @@
 import ast
+import json
 import time
 from pathlib import Path
 
 import pytest
 
 from overcubic import catalogs, oracle
+from overcubic.cli import main
 from overcubic.errors import CapExceeded
 from overcubic.catalogs import Family
 from overcubic.etaq import expand
@@ -79,6 +81,16 @@ def test_large_k_table_is_fast():
     counts = oracle.table("overcubic-ktuple", oracle.MAX_N, 20000)
     assert time.perf_counter() - t0 < 1.0
     assert counts[1] == 2 * 20000  # one part 1, overlined or not, in one of k components
+
+
+def test_largest_admitted_k_still_reports(capsys):
+    # the cap is set by overcubic-ktuple, whose base counts bound opt-ktuple's
+    assert all(a <= b for a, b in zip(*(oracle.table(f, oracle.MAX_N, 1) for f in (
+        "opt-ktuple", "overcubic-ktuple"))))
+    argv = ["oracle", "--family", "overcubic-ktuple", "--k", str(oracle.MAX_K)]
+    assert main(argv) == 0
+    largest = json.loads(capsys.readouterr().out)["records"][-1]["count"]
+    assert 4200 < len(str(largest)) <= 4300  # Python prints at most 4300 digits
 
 
 def test_part_counter_rejects_unknown_family():

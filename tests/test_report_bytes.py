@@ -21,51 +21,71 @@ REPORTS = [
      "09910de8befab7d030768df4ab927dbc95d00a3842bf28a583ae592a26e2e4c3"),
     ("coeffs --family overcubic-triple --indices 0,5,100 --mod 64", 0,
      "5d176b1df850ba813abeb586ec1946433d74a256431f9aacee6e25b18a74f2a8"),
+    # re-pinned when every checked record gained its `verdict`, a CSV column here
     ("verify --family overcubic-triple --progression 8,7 --mod 64 --n-limit 100 --format csv", 0,
-     "cbecc83ef960f6dfe0499519b08a8a360fea2c4ee612c6e457e6213aeb3e44e4"),
+     "ae9a7fdf408509a85b6e79f2204d27c2911c3e5f58c814b02ca4fcce1093e05c"),
+    # re-pinned when every checked record gained its `verdict`
     ("verify --family overcubic-triple --progression 4,1 --mod 4 --n-limit 10", 1,
-     "084d31845e95cc4b1ac571a0f7fd6cb73e36ec0db0619f8af0d8948af98bf730"),
+     "ccdc3a27b86aea4e88c8f22e1a1818d1a1bfaa1bb9240f36b9b87eb967f8ce10"),
     ("scan --family partition --max-m 5 --moduli 5,7 --n-min 150", 0,
      "d57c6acb72aeb0ef72cc4e9b18f4b9bc22915003de2a6be3c3293e75002362de"),
     # leading residue 1, so folding the valuation leaves this report alone
     ("dissect --family overcubic-triple --m 2 --j 0 --order 10 --mod 4", 0,
      "79b5d884fb70b899f4a4c909478c6d36635a1dfbf8014c1938c74a4c65511530"),
+    # re-pinned when every checked record gained its `verdict`
     ("identity --catalog identities/theta_dissections.json --order 300", 0,
-     "2226bd06a025190066d2597cefece362463fb801a821d3193e75e2eae0f8d225"),
+     "9fafd5c4805a14b2f3de82fcf6f66603a5ade775931db2b78969bb241a597dd8"),
+    # re-pinned when every checked record gained its `verdict`
     ("certificate --order 100", 0,
-     "0e85edf990ec4f0c63e9f36be25a5b6b4d876fce95f23731cff8223b047d12e1"),
+     "aa22489dea19bcd725fa2166ab53481c441883e82fad7781e38b2d3e2cb94f3f"),
     ("density --family overcubic-triple --mod 384 --x-grid 100,1000 --format csv", 0,
      "3629a1c7b97d5dd07379f113f4201331b092694286d8e28974b3553fcdb9099b"),
     ("oracle --family overcubic --max-n 6", 0,
      "61a4e345d41ed2ab74e2fe64d84a057fcaf741f8c71baa16c3cb5b9d47e05472"),
+    # re-pinned when every checked record gained its `verdict`, the suite echo
+    # lost its label and suite 9 became identity claims: no family, k or status,
+    # orders {lhs, rhs}, and n_checked is the order
     ("paper-suite --theorem 9 --order 300", 0,
-     "49ba8d2261554f9dfd0653887a3d4170c69d4af46191cd0c87135495eed59b33"),
+     "a49e84a9323479772aacf90e2b1a716634e9f7f41ad5fe42af143f59c1bdaafe"),
+    # re-pinned when every checked record gained its `verdict` and suite 9
+    # became identity claims, whose family, k and status cells are empty
     ("paper-suite --theorem 9 --order 300 --format csv", 0,
-     "823b9f2b0e05ced1f4002e635edb3c8ad4286aace3d1425ee80faafe77d8fe7a"),
-    # the rows below were recorded before the pass-through layers went:
-    # the conjecture label is set in the suite code, not in the CLI
+     "8023738e04a190a37e8a0ef4a6d722f61ab48eca3461c2ba546f6b90e7af715f"),
+    # first recorded before the pass-through layers went; re-pinned when every
+    # checked record gained its `verdict`, a conjecture record's status became
+    # its claim's, `conjectured`, and the suite echo lost its label
     ("paper-suite --theorem conjecture-1 --n-limit 20 --alpha-limit 2", 0,
-     "cbde8491dd74c6110896bb926359ba6179bef5ac8b4623804ebfe5b1cd084dae"),
-    # the tuple lengths and primes of these suites are constants
+     "0905c5cb4c5cc4928a075bac4c1d42ae26bdc347f2d1757f8379e2641604568d"),
+    # the tuple lengths and primes of these suites are constants; re-pinned
+    # when every checked record gained its `verdict` and the suite echo lost
+    # its label
     ("paper-suite --theorem 5 --n-limit 20", 0,
-     "4696b731effb3bb32520031aea6a1af51853474375c90780604e58ee73ef271d"),
+     "59b676fe0b022df88a290bd823ea95fc9ad2d25d82e41a0bab61e6ff1c0e0407"),
+    # re-pinned when every checked record gained its `verdict` and the
+    # suite echo lost its label
     ("paper-suite --theorem mod4-progressions --n-limit 20", 0,
-     "d91a4698fd62730251c0cc54565c24acece34980dc3c1370d55fc05606282472"),
-    # cotron_check reads an FMonomial
+     "f74a5081e081143602dffee4dab243212399df70f10508175001f111cf88c3ed"),
+    # cotron_check reads an FMonomial; re-pinned when every checked record
+    # gained its `verdict`, `criterion` on the divisibility criteria, and the
+    # density trends' status became proved-in-paper
     ("paper-suite --theorem lacunary", 0,
-     "d91a49e41975375832a3b92cd760e08b90675a2f993a2f8c4f210e90c5bfba55"),
-    # a family left side is a one-term sum
+     "148641bc4e75a76e31ede9fccbcd81ee49b3cb27ad6b3a0f801d97ec0c4be630"),
+    # a family left side is a one-term sum; re-pinned when every checked
+    # record gained its `verdict`
     ("identity --catalog identities/congruence_identities.json --order 200", 0,
-     "2dae0f26dac31d8b2251ebcbefd7959d8f50dc9ffbbb96b54acdceaa0374919a"),
+     "c03135759ea3ad707454d2bff97fcac76c4d0791d6fadd6d15f2898d8bb04de3"),
     # oracle.table in place of the counter object
     ("oracle --family overcubic-ktuple --k 3 --max-n 10 --format csv", 0,
      "8ccd377c4c8c3ad67a72bd91a68cb3263b64ca040bc8f39ca35e98867b62e7d0"),
-    # every suite in one run, recorded before the suites moved into one table
-    # and one largest-first pass
+    # every suite in one run, first recorded before the suites moved into one
+    # table and one largest-first pass; re-pinned when every checked record
+    # gained its `verdict`, with every change of the suite rows above
     ("paper-suite --theorem all --n-limit 20 --alpha-limit 1 --order 300", 0,
-     "c6d110d5a9c4df99127139ba5259e4f8ce182743b27ae1b2a616a16768459b86"),
+     "117850723db2da03846607835239279dc9b1acf140d8c007f83540369d209a58"),
+    # re-pinned when every checked record gained its `verdict`, with every
+    # change of the suite rows above
     ("paper-suite --theorem all --n-limit 20 --alpha-limit 1 --order 300 --format csv", 0,
-     "ad6a58e7e2bc88991c25797c81fc9eca56959ce6b867b9379d723e8de9e74624"),
+     "aa3af76f3b88b2533c335eaae83f0505b0edfaa9d125dc42ba445da8eb86f9c3"),
     # recorded while dissect --mod reduced an exact expansion and the oracle
     # enumerated every base count once per n: an odd and a CRT modulus, a
     # shifted and scaled product, and a Laurent window mod an odd prime power
@@ -85,10 +105,11 @@ REPORTS = [
     # exceptions span more than one batch of the batched join
     ("density --family overcubic-triple --mod 384 --x-grid 1000,10000", 0,
      "a1443715c066a0f88f7a5897109f687704a392dcd215d917c739b45da4a0dbc2"),
-    # recorded while claims without a progression expanded their stated
-    # sides, division passes included
+    # first recorded while claims without a progression expanded their stated
+    # sides, division passes included; re-pinned when every checked record
+    # gained its `verdict`
     ("identity --catalog identities/lemma_dissections.json --order 500", 0,
-     "cadabd070f04b6d77c83c708e9836ac5ef8c61eef8e9d1dad0a5d380752bb583"),
+     "903909a6e929325685b1cf47083a5f8bf86c770366f64a07f6a79d1472d9bbb8"),
 ]
 
 
