@@ -267,19 +267,11 @@ _IDENTITY_CATALOGS = (
 
 def _claim_suite(claims_of):
     """A claim suite's checks of n <= n_limit.  claims_of maps the suite's
-    other bounds (alpha_limit, for a suite that dilates; 0 yields no
-    dilation) to its claims, and the report echoes them when some claim does."""
-
-    def checks(n_limit, **dilation):
-        claims = claims_of(**dilation)
-        params = {"n_limit": n_limit}
-        if any(c.alpha for c in claims):
-            params.update(dilation)
-        return params, [
-            (required_order(c, n_limit), partial(verify_congruence, c, n_limit)) for c in claims
-        ]
-
-    return checks
+    other bounds (alpha_limit, for a suite that dilates) to its claims."""
+    return lambda n_limit, **dilation: [
+        (required_order(c, n_limit), partial(verify_congruence, c, n_limit))
+        for c in claims_of(**dilation)
+    ]
 
 
 def _suite_9(order):
@@ -294,33 +286,32 @@ def _suite_9(order):
         )
         for k in (3, 5, 7)
     ]
-    return {"order": order, "k_values": [1, 2, 3]}, dissect.identity_checks(claims, order)
+    return dissect.identity_checks(claims, order)
 
 
 def _lacunary():
     checks = [partial(_criterion, k) for k in range(1, 5)]
     checks += [partial(_density_trend, e) for e in (3, 4, 5, 6)]
     checks += [partial(_exceptions, k) for k in (0, 1)]
-    return {"x_grid": _LACUNARY_GRID}, [(_LACUNARY_GRID[-1] + 1, check) for check in checks]
+    return [(_LACUNARY_GRID[-1] + 1, check) for check in checks]
 
 
 def _dissections(order):
     paths = map(catalogs._packaged, _IDENTITY_CATALOGS)
     claims = [c for path in paths for c in catalogs.load_identity_catalog(path)]
-    params = {"order": order, "catalogs": list(_IDENTITY_CATALOGS)}
-    return params, dissect.identity_checks(claims, order)
+    return dissect.identity_checks(claims, order)
 
 
 def _certificate(order):
     cert = catalogs.load_certificate(catalogs._packaged("certs/bt_8n7.json"))
     check = partial(certify.verify_certificate, cert, order)
-    return {"order": order}, [(certify.base_order(cert, order), check)]
+    return [(certify.base_order(cert, order), check)]
 
 
 # Every paper-suite entry, in `--theorem all` order: the bounds it reads, each
 # with its default (conjecture evidence dilates one step deeper), and a
-# function of those bounds returning its echoed parameters and its checks; a
-# check is (the largest order it expands to, a function returning its result).
+# function of those bounds returning its checks; a check is (the largest order
+# it expands to, a function returning its result).
 SUITES = {
     "1": ({"n_limit": 1000}, _claim_suite(lambda: _claims(THEOREM_1_TABLE))),
     "2": (
@@ -356,11 +347,11 @@ SUITES = {
 def run_suites(
     names, n_limit: int | None = None, alpha_limit: int | None = None, order: int | None = None
 ) -> tuple[dict, list[VerificationResult]]:
-    """Echoed parameters per suite, and every result sorted by name, of the
-    named suites.  Their checks run in one etaq.largest_first pass, so each
-    expansion is built once per run; an unset bound takes each suite's
-    default from SUITES, and a set bound that no named suite reads is
-    refused."""
+    """The bounds each named suite read, and one result per record name,
+    sorted by name, of the named suites.  Their checks run in one
+    etaq.largest_first pass, so each expansion is built once per run; an
+    unset bound takes each suite's default from SUITES, and a set bound that
+    no named suite reads is refused."""
     if alpha_limit is not None and alpha_limit < 0:
         raise ValueError("alpha_limit must be >= 0")
     for name in names:
@@ -378,11 +369,15 @@ def run_suites(
             f"alpha_limit {alpha_limit} puts 2^alpha_limit above the configured ceiling"
             f" {etaq.MAX_ORDER}"
         )
-    parameters, checks = {}, []
-    for name in names:
-        bounds, suite = SUITES[name]
-        parameters[name], suite_checks = suite(
-            **{bound: given.get(bound, default) for bound, default in bounds.items()}
-        )
-        checks += suite_checks
-    return parameters, sorted(etaq.largest_first(checks), key=lambda r: r.name)
+    parameters = {  # the echo: each suite's bounds, filled in
+        name: {bound: given.get(bound, default) for bound, default in SUITES[name][0].items()}
+        for name in SUITES
+        if name in names
+    }
+    checks = [check for name, filled in parameters.items() for check in SUITES[name][1](**filled)]
+    # a claim two suites state, such as a paper row that a later suite
+    # restates at alpha 0, is reported once: as the first suite's in SUITES
+    results = {}
+    for result in etaq.largest_first(checks):
+        results.setdefault(result.name, result)
+    return parameters, sorted(results.values(), key=lambda r: r.name)

@@ -290,7 +290,47 @@ def test_every_bound_is_read_by_some_suite():
     reads = {bound for reads, _ in cg.SUITES.values() for bound in reads}
     assert reads == {"n_limit", "alpha_limit", "order"}
     parameters, results = cg.run_suites(["2"], n_limit=20, alpha_limit=0)
-    assert "alpha_limit" not in parameters["2"] and len(results) == 2
+    # the echo holds alpha_limit 0 since a suite's echo became the bounds it read
+    assert parameters["2"] == {"n_limit": 20, "alpha_limit": 0} and len(results) == 2
+
+
+@pytest.mark.parametrize("name", list(cg.SUITES))
+def test_a_suites_echo_is_the_bounds_it_read(monkeypatch, name):
+    monkeypatch.setattr(etaq, "largest_first", lambda checks: [])  # no check runs
+    bounds = cg.SUITES[name][0]
+    assert cg.run_suites([name])[0] == {name: bounds}
+    small = {"n_limit": 20, "alpha_limit": 0, "order": 300}
+    given = {bound: small[bound] for bound in bounds}
+    assert cg.run_suites([name], **given)[0] == {name: given}
+
+
+def test_checks_that_share_a_record_name_state_one_claim():
+    # so reporting a name once, as the first suite's record, drops no claim
+    small = {"n_limit": 20, "alpha_limit": 1, "order": 300}
+    claims, shared = {}, set()
+    for bounds, suite in cg.SUITES.values():
+        for _, check in suite(**{bound: small[bound] for bound in bounds}):
+            result = check()
+            claim = {key: value for key, value in result.claim.items() if key != "status"}
+            if result.name in claims:
+                shared.add(result.name)
+                assert claims[result.name] == claim, result.name
+            claims[result.name] = claim
+    assert len(shared) == 4
+
+
+def test_a_claim_two_suites_state_is_one_record_of_the_first_suite():
+    # suites 2 and 3 and the conjectures restate four paper rows at alpha 0;
+    # each is reported once, as the record of the suite first in SUITES,
+    # whatever order the names come in
+    names = ["conjecture-2", "conjecture-1", "3", "2", "1"]
+    _, results = cg.run_suites(names, alpha_limit=1)
+    records = {r.name: r.to_record() for r in results}
+    assert len(results) == len(records) == 19
+    for row, n_checked in [("4n+3) mod 4", 1000), ("8n+5) mod 32", 1000),
+                           ("8n+7) mod 64", 1000), ("72n+21) mod 128", 500)]:
+        record = records[f"overcubic-triple[k=1] 2^0({row}"]
+        assert (record["status"], record["n_checked"]) == ("proved-in-paper", n_checked)
 
 
 def test_unknown_suite_rejected():

@@ -44,9 +44,10 @@ REPORTS = [
      "61a4e345d41ed2ab74e2fe64d84a057fcaf741f8c71baa16c3cb5b9d47e05472"),
     # re-pinned when every checked record gained its `verdict`, the suite echo
     # lost its label and suite 9 became identity claims: no family, k or status,
-    # orders {lhs, rhs}, and n_checked is the order
+    # orders {lhs, rhs}, and n_checked is the order; re-pinned when a suite's
+    # echo became the bounds it read, without `k_values`
     ("paper-suite --theorem 9 --order 300", 0,
-     "a49e84a9323479772aacf90e2b1a716634e9f7f41ad5fe42af143f59c1bdaafe"),
+     "13ac3b90d204afa2707195b5a41bf53652392c61b3b677b58934e76ba4802979"),
     # re-pinned when every checked record gained its `verdict` and suite 9
     # became identity claims, whose family, k and status cells are empty
     ("paper-suite --theorem 9 --order 300 --format csv", 0,
@@ -67,9 +68,10 @@ REPORTS = [
      "f74a5081e081143602dffee4dab243212399df70f10508175001f111cf88c3ed"),
     # cotron_check reads an FMonomial; re-pinned when every checked record
     # gained its `verdict`, `criterion` on the divisibility criteria, and the
-    # density trends' status became proved-in-paper
+    # density trends' status became proved-in-paper; re-pinned when a suite's
+    # echo became the bounds it read, here none, without `x_grid`
     ("paper-suite --theorem lacunary", 0,
-     "148641bc4e75a76e31ede9fccbcd81ee49b3cb27ad6b3a0f801d97ec0c4be630"),
+     "14a3703f903594c68e8e212c16838b155f1dcac0af23b76f6c06e289328ed0b0"),
     # a family left side is a one-term sum; re-pinned when every checked
     # record gained its `verdict`
     ("identity --catalog identities/congruence_identities.json --order 200", 0,
@@ -79,13 +81,17 @@ REPORTS = [
      "8ccd377c4c8c3ad67a72bd91a68cb3263b64ca040bc8f39ca35e98867b62e7d0"),
     # every suite in one run, first recorded before the suites moved into one
     # table and one largest-first pass; re-pinned when every checked record
-    # gained its `verdict`, with every change of the suite rows above
+    # gained its `verdict`, with every change of the suite rows above; re-pinned
+    # when a suite's echo became the bounds it read (no `k_values`, `catalogs`
+    # or `x_grid`) and a claim two suites state became one record, the first
+    # suite's: four alpha-0 twins of suites 2, 3 and conjecture-1 went
     ("paper-suite --theorem all --n-limit 20 --alpha-limit 1 --order 300", 0,
-     "117850723db2da03846607835239279dc9b1acf140d8c007f83540369d209a58"),
+     "499e83538d0f5572201116619ad58d0c4a02788c8fffb9a3d4c4a3e3626633f5"),
     # re-pinned when every checked record gained its `verdict`, with every
-    # change of the suite rows above
+    # change of the suite rows above; re-pinned when a claim two suites state
+    # became one record, the first suite's: four alpha-0 twin rows went
     ("paper-suite --theorem all --n-limit 20 --alpha-limit 1 --order 300 --format csv", 0,
-     "aa3af76f3b88b2533c335eaae83f0505b0edfaa9d125dc42ba445da8eb86f9c3"),
+     "a2e1fcf77eb8735c9bfba7446b429c8f640dd25d8817a8da24deac4782a834a3"),
     # recorded while dissect --mod reduced an exact expansion and the oracle
     # enumerated every base count once per n: an odd and a CRT modulus, a
     # shifted and scaled product, and a Laurent window mod an odd prime power
